@@ -178,11 +178,6 @@ def skew_operator_L(h: CoeffSeries, p1: CrownSeries, p2: CrownSeries) -> CrownSe
     )
 
 
-def conjugate_pair_data(T: MapPair, psi: MapPair, psi_inv: MapPair) -> MapPair:
-    """psi^-1 o T o psi for maps given as component-series pairs."""
-    return substitute_pair(psi_inv, substitute_pair(T, psi))
-
-
 def split_pair(T: MapPair, alpha: CoeffSeries, s_order: int = 1) -> InvolutionPair:
     """Re-express a map as (alpha, p, q) relative to the given principal part."""
     D = T[0].trunc_total
@@ -211,7 +206,7 @@ def synthesize_pair(
     psi_inv_tail = invert_near_identity(U)
     psi_inv = (xi + psi_inv_tail[0], eta + psi_inv_tail[1])
     model = InvolutionPair(alpha, CrownSeries.zero(D), CrownSeries.zero(D), s_order)
-    T = conjugate_pair_data(model.components(), psi, psi_inv)
+    T = substitute_pair(psi_inv, substitute_pair(model.components(), psi))
     return split_pair(T, alpha, s_order)
 
 

@@ -358,29 +358,26 @@ def crown_escape_margin(
     Samples boundary points of the smaller crown; returns the worst margin
     (positive = contained).
     """
-    worst = np.inf
-    for w in geom.omega_samples:
-        if abs(w) >= geom.r_plus**2 - geom.beta_plus:
-            continue
-        for tb in np.linspace(0, 2 * np.pi, 6, endpoint=False):
-            z = w + geom.beta_plus * np.exp(1j * tb)
-            for tm in np.linspace(0, 2 * np.pi, n_boundary, endpoint=False):
-                mod = np.sqrt(abs(z)) if abs(z) > 0 else 1e-6
-                hi = geom.r_plus * 0.98
-                lo = abs(z) / hi
-                for m in (lo * 1.01, np.sqrt(lo * hi), hi * 0.99):
-                    x = m * np.exp(1j * tm)
-                    y = z / x
-                    if abs(x) >= geom.r_plus or abs(y) >= geom.r_plus:
-                        continue
-                    X, Y = phi.apply_point(x, y)
-                    worst = min(
-                        worst,
-                        geom.beta - abs(X * Y - w),
-                        geom.r - abs(X),
-                        geom.r - abs(Y),
-                    )
-    return float(worst)
+    hi = geom.r_plus * 0.98
+    ws = np.array([w for w in geom.omega_samples if abs(w) < geom.r_plus**2 - geom.beta_plus])
+    boundary = np.exp(1j * np.linspace(0, 2 * np.pi, 6, endpoint=False))
+    turns = np.exp(1j * np.linspace(0, 2 * np.pi, n_boundary, endpoint=False))
+    # grid axes: omega, boundary point, modulus, argument
+    z = ws[:, None] + geom.beta_plus * boundary
+    lo = np.abs(z) / hi
+    mods = np.stack([lo * 1.01, np.sqrt(lo * hi), np.full(lo.shape, hi * 0.99)], axis=-1)
+    x = mods[..., None] * turns
+    y = z[..., None, None] / x
+    w = np.broadcast_to(ws[:, None, None, None], x.shape)
+    inside = (np.abs(x) < geom.r_plus) & (np.abs(y) < geom.r_plus)
+    if not inside.any():
+        return float(np.inf)
+    X, Y = phi.apply_point(x[inside], y[inside])
+    return float(min(
+        np.min(geom.beta - np.abs(X * Y - w[inside])),
+        np.min(geom.r - np.abs(X)),
+        np.min(geom.r - np.abs(Y)),
+    ))
 
 
 def theta_scaling(

@@ -294,7 +294,7 @@ def hyperbola_image(
         def embed(x, y):
             z1 = frame.a * x + frame.b * y
             w1 = np.conj(frame.a) * x + np.conj(frame.b) * y
-            return z1, complex(height.eval(z1, w1))
+            return z1, height.eval(z1, w1)
 
     else:
         T = t.components()
@@ -303,37 +303,34 @@ def hyperbola_image(
         Phi = multiply(T[0], xi_coord)
 
         def embed(x, y):
-            return complex(phi1.eval(x, y)), complex(Phi.eval(x, y))
+            return phi1.eval(x, y), Phi.eval(x, y)
 
     lo, hi = abs(omega) / R, R
     mods = np.exp(np.linspace(np.log(lo * 1.02), np.log(hi * 0.98), n_pts))
-    rows = []
+    ks = np.arange(n_args)
+    xi0 = (mods[:, None] * np.exp(1j * (2.0 * np.pi * ks / n_args))).ravel()
+    arg_index = np.tile(ks, n_pts)
     sq = np.sqrt(abs(omega))
-    samples = []
-    for m in mods:
-        for k in range(n_args):
-            th = 2.0 * np.pi * k / n_args
-            samples.append((m * np.exp(1j * th), k, False))
     if lo < sq < hi:
-        samples.append((sq + 0.0j, -1, True))
-        samples.append((-sq + 0.0j, -2, True))
-    for xi0, arg_index, forced_real in samples:
-        eta0 = omega / xi0
-        x, y = chain_apply(psi_chain, complex(xi0), complex(eta0))
-        z1, z2 = embed(x, y)
-        is_real = forced_real or (abs(xi0.imag) < 1e-14 and abs(eta0.imag) < 1e-14)
-        rows.append(
-            {
-                "omega": omega,
-                "arg_index": arg_index,
-                "re_z1": z1.real,
-                "im_z1": z1.imag,
-                "re_z2": z2.real,
-                "im_z2": z2.imag,
-                "is_real_branch": bool(is_real),
-            }
+        xi0 = np.append(xi0, [sq, -sq])
+        arg_index = np.append(arg_index, [-1, -2])
+    eta0 = omega / xi0
+    z1, z2 = embed(*chain_apply(psi_chain, xi0, eta0))
+    is_real = (np.abs(xi0.imag) < 1e-14) & (np.abs(eta0.imag) < 1e-14)
+    return [
+        {
+            "omega": omega,
+            "arg_index": k,
+            "re_z1": a.real,
+            "im_z1": a.imag,
+            "re_z2": b.real,
+            "im_z2": b.imag,
+            "is_real_branch": real,
+        }
+        for k, a, b, real in zip(
+            arg_index.tolist(), z1.tolist(), z2.tolist(), is_real.tolist()
         )
-    return rows
+    ]
 
 
 def write_hyperbola_csv(path: str, rows: list[dict]) -> None:

@@ -39,8 +39,15 @@ from .prenormal import (
     radius_search,
 )
 from .series import CoeffSeries, CrownNormParams, CrownSeries, SeriesError
-from .sieve import IntervalSet, build_schedule, excise_resonances, measure_excluded
-from .transforms import chain_apply
+from .sieve import (
+    IntervalSet,
+    build_schedule,
+    excise_resonances,
+    measure_excluded,
+    pyartli_bound,
+    resonance_zone_bound,
+)
+from .transforms import chain_apply, chain_realness_defect
 
 CONVERGENCE_FLOOR = 1e-13
 
@@ -469,28 +476,29 @@ def extract_curve(state: KamState, omega: float, n_pts: int) -> CurveResult:
     n_mod = max(2, int(np.ceil(n_pts / 8)))
     mods = np.exp(np.linspace(np.log(lo * 1.05), np.log(hi * 0.95), n_mod))
     args = 2.0 * np.pi * np.arange(8) / 8.0
-    pts = [(m * np.exp(1j * a), omega / (m * np.exp(1j * a))) for m in mods for a in args]
-    pts = pts[:max(n_pts, 8)]
+    x0 = (mods[:, None] * np.exp(1j * args)).ravel()[:max(n_pts, 8)]
+    y0 = omega / x0
 
-    resid = 0.0
-    rho_resid = 0.0
-    samples = []
     rot = np.exp(1j * mu)
-    for x0, y0 in pts:
-        X, Y = chain_apply(links, x0, y0)
-        sx = complex(sigma1.eval(X, Y))
-        sy = complex(sigma2.eval(X, Y))
-        Xr, Yr = chain_apply(links, rot * x0, y0 / rot)
-        resid = max(resid, abs(sx - Xr), abs(sy - Yr))
-        Xc, Yc = chain_apply(links, np.conj(x0), np.conj(y0))
-        rho_resid = max(rho_resid, abs(Xc - np.conj(X)), abs(Yc - np.conj(Y)))
-        samples.append(
-            {
-                "re_xi": x0.real, "im_xi": x0.imag,
-                "re_x": X.real, "im_x": X.imag,
-                "re_y": Y.real, "im_y": Y.imag,
-            }
-        )
+    X, Y = chain_apply(links, x0, y0)
+    Xr, Yr = chain_apply(links, rot * x0, y0 / rot)
+    Xc, Yc = chain_apply(links, np.conj(x0), np.conj(y0))
+    resid = float(max(
+        np.max(np.abs(sigma1.eval(X, Y) - Xr)),
+        np.max(np.abs(sigma2.eval(X, Y) - Yr)),
+    ))
+    rho_resid = float(max(
+        np.max(np.abs(Xc - np.conj(X))),
+        np.max(np.abs(Yc - np.conj(Y))),
+    ))
+    samples = [
+        {
+            "re_xi": p.real, "im_xi": p.imag,
+            "re_x": x.real, "im_x": x.imag,
+            "re_y": y.real, "im_y": y.imag,
+        }
+        for p, x, y in zip(x0.tolist(), X.tolist(), Y.tolist())
+    ]
     tail = 0.0
     if len(state.eps_measured) >= 2 and state.eps_measured[-2] > 0:
         ratio = min(0.5, state.eps_measured[-1] / state.eps_measured[-2])
@@ -587,9 +595,7 @@ def write_sieve_csv(path: str, state: KamState) -> None:
         w = csv.writer(fh)
         w.writerow(cols)
         for row in state.sieve_rows:
-            from .sieve import resonance_zone_bound
-
-            pb = resonance_zone_bound(state.s, row["delta"], row.get("K", 12))
+            pb = resonance_zone_bound(state.s, row["delta"], row["K"])
             w.writerow(
                 [
                     row["nu"],
@@ -636,7 +642,7 @@ def select_omegas(state: KamState, count: int, window: float) -> tuple[list, lis
     """
     R2 = state.r**2
     mags = np.exp(np.linspace(np.log(1e-4 * R2), np.log(window * R2), count))
-    n_top = max((row.get("K", 12) + 1 for row in state.sieve_rows), default=13)
+    n_top = max((row["K"] + 1 for row in state.sieve_rows), default=13)
     picked = []
     excluded = []
     for m in mags:
@@ -663,9 +669,7 @@ def run_pipeline(config: RunConfig) -> tuple[KamState, dict, list]:
     record["skew_measured"] = list(state.skew_measured)
     record["surviving_measure"] = state.O.measure()
     record["window_measure"] = 2 * state.r**2
-    record["chain_realness_defect"] = max(
-        (l.realness_defect() for l in full_chain(state)), default=0.0
-    )
+    record["chain_realness_defect"] = chain_realness_defect(full_chain(state))
     record["steps"] = state.history
     record["sieve"] = state.sieve_rows
     record["psi_factorizations"] = {
@@ -738,8 +742,6 @@ def verify_suite(out_dir: str) -> dict:
     np_ = CrownNormParams(0.25 * state.r**2, state.r**2 / 16, state.r)
     check("cubic_involution_residual", state.pair.involution_residual(np_), 1e-9)
 
-    from .sieve import pyartli_bound
-
     check("pyartli_spot", abs(pyartli_bound(2, 2.0, 0.08) - 0.8), 1e-12)
     report["pass"] = all(
         entry.get("pass", True) for entry in report["checks"].values()
@@ -788,7 +790,7 @@ def run_cli(argv=None) -> int:
         description="Invariant-hyperbola engine for perturbed hyperbolic Bishop quadrics",
     )
     parser.add_argument("command", choices=[
-        "build", "prenorm", "iterate", "sieve", "curves", "verify", "report"
+        "build", "prenorm", "iterate", "verify", "report"
     ])
     parser.add_argument("--config", default=None)
     parser.add_argument("--mode", choices=["practical", "rigorous"], default=None)
@@ -845,7 +847,7 @@ def run_cli(argv=None) -> int:
             write_json(os.path.join(config.out_dir, "prenorm_report.json"), record)
             print(f"branch = {state.branch}, eps0 = {state.eps_measured[0]:.3e}")
             return 0
-        if args.command in ("iterate", "curves", "sieve"):
+        if args.command == "iterate":
             state, record, curves = run_pipeline(config)
             write_json(os.path.join(config.out_dir, "run_report.json"), record)
             write_steps_csv(os.path.join(config.out_dir, "steps.csv"), state)

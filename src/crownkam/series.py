@@ -231,10 +231,6 @@ class CoeffSeries:
         acc[0] = np.log(c0)
         return CoeffSeries(acc)
 
-    def pow_fraction(self, exponent: float) -> "CoeffSeries":
-        """f^exponent via exp(exponent * log f), principal branch."""
-        return self.log().exp(exponent)
-
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> list:
@@ -615,18 +611,6 @@ def multiply(f: CrownSeries, g: CrownSeries) -> CrownSeries:
         a = f.coeffs[m, n]
         out[m:, n:] += a * g.coeffs[: D + 1 - m, : D + 1 - n]
     return CrownSeries(out, D, tail=f.tail + g.tail)
-
-
-def crown_decompose(f: CrownSeries) -> list[tuple[int, int, CoeffSeries]]:
-    return f.crown_decompose()
-
-
-def crown_norm(f: CrownSeries, np_: CrownNormParams) -> float:
-    return f.crown_norm(np_)
-
-
-def exp_series(f: CrownSeries, a: complex = 1.0) -> CrownSeries:
-    return f.exp(a)
 
 
 def pair_norm(fg: tuple[CrownSeries, CrownSeries], np_: CrownNormParams) -> float:

@@ -1,8 +1,9 @@
 """Transform-chain links: polynomial maps and product-preserving scalings.
 
-A chain is an ordered list of links applied left to right to points of C^2;
-each link also knows its series representation so chains can be conjugated
-through and checked for rho-commutation (real coefficients).
+A chain is a list of links in composition order (outermost first), evaluated
+on scalars or arrays of points of C^2; each link also knows its series
+representation so chains can be conjugated through and checked for
+rho-commutation (real coefficients).
 """
 
 from __future__ import annotations
@@ -20,17 +21,8 @@ class PolyLink:
     inverse: MapPair
     label: str = "poly"
 
-    def apply_point(self, x: complex, y: complex) -> tuple[complex, complex]:
-        return (
-            complex(self.forward[0].eval(x, y)),
-            complex(self.forward[1].eval(x, y)),
-        )
-
-    def apply_inverse_point(self, x: complex, y: complex) -> tuple[complex, complex]:
-        return (
-            complex(self.inverse[0].eval(x, y)),
-            complex(self.inverse[1].eval(x, y)),
-        )
+    def apply_point(self, x, y):
+        return self.forward[0].eval(x, y), self.forward[1].eval(x, y)
 
     def is_real(self, tol: float = 1e-9) -> bool:
         return self.forward[0].is_real(tol) and self.forward[1].is_real(tol)
@@ -64,13 +56,9 @@ class ScalingLink:
     def inverse_pair(self, D: int) -> MapPair:
         return ScalingLink(self.theta_inv(), self.label).forward_pair(D)
 
-    def apply_point(self, x: complex, y: complex) -> tuple[complex, complex]:
-        t = complex(self.theta.eval(x * y))
+    def apply_point(self, x, y):
+        t = self.theta.eval(x * y)
         return (t * x, y / t)
-
-    def apply_inverse_point(self, x: complex, y: complex) -> tuple[complex, complex]:
-        t = complex(self.theta.eval(x * y))
-        return (x / t, y * t)
 
     def is_real(self, tol: float = 1e-9) -> bool:
         return self.theta.is_real(tol)
@@ -87,13 +75,9 @@ class RadialLink:
     flip: bool = False
     label: str = "rescale"
 
-    def apply_point(self, x: complex, y: complex) -> tuple[complex, complex]:
+    def apply_point(self, x, y):
         s = -1.0 if self.flip else 1.0
         return (self.t * x, s * self.t * y)
-
-    def apply_inverse_point(self, x: complex, y: complex) -> tuple[complex, complex]:
-        s = -1.0 if self.flip else 1.0
-        return (x / self.t, s * y / self.t)
 
     def is_real(self, tol: float = 1e-9) -> bool:
         return True
@@ -102,21 +86,15 @@ class RadialLink:
         return 0.0
 
 
-def chain_apply(chain, x: complex, y: complex) -> tuple[complex, complex]:
-    """Evaluate the composition chain[0] o chain[1] o ... at a point.
+def chain_apply(chain, x, y):
+    """Evaluate the composition chain[0] o chain[1] o ... at points.
 
+    x and y are scalars or arrays of one shape; the result has that shape.
     Chains are stored in composition order (outermost first), so the last
     link acts first.
     """
     for link in reversed(chain):
         x, y = link.apply_point(x, y)
-    return x, y
-
-
-def chain_apply_inverse(chain, x: complex, y: complex) -> tuple[complex, complex]:
-    """Evaluate the inverse of the chain composition at a point."""
-    for link in chain:
-        x, y = link.apply_inverse_point(x, y)
     return x, y
 
 

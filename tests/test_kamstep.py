@@ -1,5 +1,7 @@
 """Tests for the main iteration step and its measured-versus-bound report."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from crownkam.involution import (
 from crownkam.kamstep import (
     StepGeometry,
     conjugate_step,
+    crown_escape_margin,
     divisor_minimum,
     main_step,
     solve_cohomological,
@@ -302,6 +305,47 @@ def test_main_step_crown_escape_checked():
     geom = desk_geometry(eps=measured_eps(t, 0.14), t=t)
     _, _, rep = main_step(t, geom)
     assert rep.entries["crown_escape_margin"]["measured"] > 0
+
+
+def escape_margin_reference(phi, geom, n_boundary=24):
+    """Worst crown-escape margin, pushing boundary points through phi one at
+    a time; returns it with the number of points outside the r_plus bidisk."""
+    worst, skipped = np.inf, 0
+    for w in geom.omega_samples:
+        if abs(w) >= geom.r_plus**2 - geom.beta_plus:
+            continue
+        for tb in np.linspace(0, 2 * np.pi, 6, endpoint=False):
+            z = w + geom.beta_plus * np.exp(1j * tb)
+            hi = geom.r_plus * 0.98
+            lo = abs(z) / hi
+            for tm in np.linspace(0, 2 * np.pi, n_boundary, endpoint=False):
+                for m in (lo * 1.01, np.sqrt(lo * hi), hi * 0.99):
+                    x = complex(m * np.exp(1j * tm))
+                    y = complex(z / x)
+                    if abs(x) >= geom.r_plus or abs(y) >= geom.r_plus:
+                        skipped += 1
+                        continue
+                    X = complex(phi.forward[0].eval(x, y))
+                    Y = complex(phi.forward[1].eval(x, y))
+                    worst = min(worst, geom.beta - abs(X * Y - w),
+                                geom.r - abs(X), geom.r - abs(Y))
+    return worst, skipped
+
+
+def test_crown_escape_margin_matches_pointwise_loop():
+    # the margin over the whole sample grid equals the worst margin found by
+    # pushing the boundary points through phi one at a time; the edge
+    # geometry adds omegas where the skip conditions fire
+    t = generic_instance(99, 4e-4)
+    geom = desk_geometry(eps=measured_eps(t, 0.14), t=t)
+    phi = conjugate_step(t, solve_cohomological(t, compose_sigma(t), geom), geom).phi
+    w_max = geom.r_plus**2 - geom.beta_plus
+    edge = dataclasses.replace(geom, omega_samples=(-0.995 * w_max, 0.995 * w_max, w_max))
+    for g, skips in ((geom, False), (edge, True)):
+        worst, skipped = escape_margin_reference(phi, g)
+        assert np.isfinite(worst)
+        assert (skipped > 0) == skips
+        assert crown_escape_margin(phi, g) == pytest.approx(worst, rel=0, abs=1e-15)
 
 
 def test_main_step_s2_twist():

@@ -140,7 +140,7 @@ def test_conjugation_matches_pointwise():
     for x, y in POINTS:
         X, Y = phi.apply_point(x, y)
         TX, TY = tau_pointwise(t, X, Y)
-        back = phi.apply_inverse_point(TX, TY)
+        back = (phi.inverse[0].eval(TX, TY), phi.inverse[1].eval(TX, TY))
         a = complex(t.alpha.eval(x * y))
         lam_val = complex(lam_series.eval(x * y))
         want_p = back[0] - lam_val * y
