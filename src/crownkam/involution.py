@@ -23,6 +23,7 @@ from .series import (
     identity_pair,
     invert_near_identity,
     multiply,
+    principal_part,
     rotation_factor,
     substitute_pair,
 )
@@ -50,23 +51,13 @@ class InvolutionPair:
 
     def components(self) -> MapPair:
         """tau1 as a pair of bivariate coefficient series."""
-        D = self.trunc_total
-        rot = rotation_factor(self.alpha, 0.5, D)
-        rot_inv = rotation_factor(self.alpha, -0.5, D)
-        return (
-            multiply(rot, CrownSeries.eta(D)) + self.p,
-            multiply(rot_inv, CrownSeries.xi(D)) + self.q,
-        )
+        P = principal_part(self.alpha, -0.5, self.trunc_total)
+        return (P[1] + self.p, P[0] + self.q)
 
     def tau2_components(self) -> MapPair:
         """rho o tau1 o rho: rotation exponent negated, p, q conjugated."""
-        D = self.trunc_total
-        rot = rotation_factor(self.alpha, -0.5, D)
-        rot_inv = rotation_factor(self.alpha, 0.5, D)
-        return (
-            multiply(rot, CrownSeries.eta(D)) + self.p.conj(),
-            multiply(rot_inv, CrownSeries.xi(D)) + self.q.conj(),
-        )
+        P = principal_part(self.alpha, 0.5, self.trunc_total)
+        return (P[1] + self.p.conj(), P[0] + self.q.conj())
 
     def involution_residual(self, np_: CrownNormParams) -> float:
         """||tau1 o tau1 - Id|| at the given norm parameters."""
@@ -110,13 +101,8 @@ class ReversibleMap:
         return self.f.trunc_total
 
     def components(self) -> MapPair:
-        D = self.trunc_total
-        rot = rotation_factor(self.alpha, 1.0, D)
-        rot_inv = rotation_factor(self.alpha, -1.0, D)
-        return (
-            multiply(rot, CrownSeries.xi(D)) + self.f,
-            multiply(rot_inv, CrownSeries.eta(D)) + self.g,
-        )
+        P = principal_part(self.alpha, 1.0, self.trunc_total)
+        return (P[0] + self.f, P[1] + self.g)
 
     def reversibility_residual(self, np_: CrownNormParams) -> float:
         """||sigma o (rho sigma rho) - Id||; zero iff sigma^-1 = rho sigma rho."""
@@ -149,41 +135,27 @@ def compose_sigma(t: InvolutionPair, check_tol: float | None = None,
         res = t.involution_residual(np_)
         if res > check_tol:
             raise SeriesError(f"involution residual {res:.3e} exceeds {check_tol:.1e}")
-    D = t.trunc_total
-    T1 = t.components()
-    T2 = t.tau2_components()
-    S = substitute_pair(T1, T2)
-    f = S[0] - multiply(rotation_factor(t.alpha, 1.0, D), CrownSeries.xi(D))
-    g = S[1] - multiply(rotation_factor(t.alpha, -1.0, D), CrownSeries.eta(D))
-    return ReversibleMap(t.alpha, f, g)
+    S = substitute_pair(t.components(), t.tau2_components())
+    P = principal_part(t.alpha, 1.0, t.trunc_total)
+    return ReversibleMap(t.alpha, S[0] - P[0], S[1] - P[1])
 
 
 def skew_term(t: InvolutionPair) -> CrownSeries:
     """e^{i alpha/2} eta q + e^{-i alpha/2} xi p; the quantity the scheme keeps small."""
-    D = t.trunc_total
-    rot = rotation_factor(t.alpha, 0.5, D)
-    rot_inv = rotation_factor(t.alpha, -0.5, D)
-    return multiply(multiply(rot, CrownSeries.eta(D)), t.q) + multiply(
-        multiply(rot_inv, CrownSeries.xi(D)), t.p
-    )
+    P = principal_part(t.alpha, -0.5, t.trunc_total)
+    return multiply(P[1], t.q) + multiply(P[0], t.p)
 
 
 def skew_operator_L(h: CoeffSeries, p1: CrownSeries, p2: CrownSeries) -> CrownSeries:
     """L_h(p1, p2) = e^{-i h(xi eta)} xi p1 + e^{i h(xi eta)} eta p2."""
-    D = p1._matched(p2)
-    rot_inv = rotation_factor(h, -1.0, D)
-    rot = rotation_factor(h, 1.0, D)
-    return multiply(multiply(rot_inv, CrownSeries.xi(D)), p1) + multiply(
-        multiply(rot, CrownSeries.eta(D)), p2
-    )
+    P = principal_part(h, -1.0, p1._matched(p2))
+    return multiply(P[0], p1) + multiply(P[1], p2)
 
 
 def split_pair(T: MapPair, alpha: CoeffSeries, s_order: int = 1) -> InvolutionPair:
     """Re-express a map as (alpha, p, q) relative to the given principal part."""
-    D = T[0].trunc_total
-    p = T[0] - multiply(rotation_factor(alpha, 0.5, D), CrownSeries.eta(D))
-    q = T[1] - multiply(rotation_factor(alpha, -0.5, D), CrownSeries.xi(D))
-    return InvolutionPair(alpha, p, q, s_order)
+    P = principal_part(alpha, -0.5, T[0].trunc_total)
+    return InvolutionPair(alpha, T[0] - P[1], T[1] - P[0], s_order)
 
 
 def synthesize_pair(
@@ -283,18 +255,11 @@ def sigma_first_order_residual(t: InvolutionPair, np_: CrownNormParams) -> tuple
     D = t.trunc_total
     sigma = compose_sigma(t)
     rot_p = rotation_factor(t.alpha, 0.5, D)
-    rot_m = rotation_factor(t.alpha, -0.5, D)
-    rot_full = rotation_factor(t.alpha, 1.0, D)
     aprime = CrownSeries.from_z_series(t.alpha.derivative().truncate(D // 2), D)
-    skew_bar = multiply(multiply(rot_m, CrownSeries.eta(D)), t.q.conj()) + multiply(
-        multiply(rot_p, CrownSeries.xi(D)), t.p.conj()
-    )
-    first = multiply(
-        multiply(aprime * 0.5j, skew_bar), multiply(rot_full, CrownSeries.xi(D))
-    )
-    p_rot = t.p.substitute(
-        multiply(rot_m, CrownSeries.eta(D)), multiply(rot_p, CrownSeries.xi(D))
-    )
+    P = principal_part(t.alpha, 0.5, D)
+    skew_bar = multiply(P[1], t.q.conj()) + multiply(P[0], t.p.conj())
+    first = multiply(multiply(aprime * 0.5j, skew_bar), principal_part(t.alpha, 1.0, D)[0])
+    p_rot = t.p.substitute(P[1], P[0])
     resid = sigma.f - first - multiply(rot_p, t.q.conj()) - p_rot
     eps = t.measured_eps(np_)
     return resid.crown_norm(np_), eps ** (31 / 16) / 80.0

@@ -24,6 +24,7 @@ from .series import (
     SeriesError,
     invert_near_identity,
     multiply,
+    principal_part,
     rotation_factor,
     substitute_pair,
 )
@@ -261,24 +262,23 @@ def cohomological_residuals(
     u, v = uv
     rot_p = rotation_factor(t.alpha, 0.5, D)
     rot_m = rotation_factor(t.alpha, -0.5, D)
-    R = (multiply(rot_p, CrownSeries.eta(D)), multiply(rot_m, CrownSeries.xi(D)))
+    P = principal_part(t.alpha, -0.5, D)
+    uR, vR = substitute_pair(uv, (P[1], P[0]))
     p01 = CrownSeries.from_z_series(t.p.crown_coefficient(0, 1), D)
     q10 = CrownSeries.from_z_series(t.q.crown_coefficient(1, 0), D)
     res1 = (
         multiply(rot_p, v)
-        - u.substitute(R[0], R[1])
+        - uR
         + pK
         - multiply(p01, CrownSeries.eta(D))
     )
     res2 = (
         multiply(rot_m, u)
-        - v.substitute(R[0], R[1])
+        - vR
         + qK
         - multiply(q10, CrownSeries.xi(D))
     )
-    cross = multiply(multiply(rot_m, CrownSeries.xi(D)), res1) + multiply(
-        multiply(rot_p, CrownSeries.eta(D)), res2
-    )
+    cross = multiply(P[0], res1) + multiply(P[1], res2)
     skew_in = geom.sup_norm(skew_term(t), geom.beta, geom.r)
     K = geom.K_cut(D)
     eps, delta = geom.eps, geom.delta

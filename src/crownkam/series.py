@@ -25,9 +25,11 @@ All values are immutable after construction; operations return new objects.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 REALNESS_TOL = 1e-10
 EXP_TAIL_TOL = 1e-16
@@ -281,16 +283,53 @@ class CrownNormParams:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def _triangle_mask(n: int) -> np.ndarray:
+    """Read-only mask of the positions m + n <= n - 1 of an n x n array."""
     i = np.arange(n)
-    return (i[:, None] + i[None, :]) <= (n - 1)
+    mask = (i[:, None] + i[None, :]) <= (n - 1)
+    mask.setflags(write=False)
+    return mask
+
+
+@lru_cache(maxsize=None)
+def _crown_index(D: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gather indices of the crown decomposition at truncation D.
+
+    Row i of the returned (2D+1, D//2+1) index arrays (rows, cols) addresses
+    f_lj[k] = a[k+l, k+j] for the i-th entry of ``crown_decompose`` ((0, 0),
+    then (l, 0) for l = 1..D, then (0, j) for j = 1..D); positions with
+    2k + l + j > D point into the zero padding beyond the (D+1)^2 square.
+    ``degree`` holds l + j per row.
+    """
+    shift = np.arange(1, D + 1)
+    zeros = np.zeros(D, dtype=int)
+    l = np.concatenate(([0], shift, zeros))
+    j = np.concatenate(([0], zeros, shift))
+    k = np.arange(D // 2 + 1)
+    rows = k[None, :] + l[:, None]
+    cols = k[None, :] + j[:, None]
+    outside = rows + cols > D
+    rows[outside] = D + 1
+    cols[outside] = D + 1
+    degree = l + j
+    for arr in (rows, cols, degree):
+        arr.setflags(write=False)
+    return rows, cols, degree
 
 
 class CrownSeries:
     """Dense triangular bivariate series sum a[m,n] xi^m eta^n, m+n <= D.
 
-    ``tail`` accumulates the 1-norm of coefficients dropped by truncation;
-    it is bookkeeping only and is not propagated rigorously.
+    ``tail`` is bookkeeping only and is not propagated rigorously.  It holds
+    the 1-norm of the coefficients dropped when a result was truncated to
+    total degree D: for a product, the terms that land inside the (D+1)^2
+    square above the triangle (terms beyond the square are never formed);
+    for the public constructor, the above-triangle entries of its input;
+    for ``from_z_series``, the z-coefficients beyond D//2.  Sums add the
+    operands' tails, scalar multiples scale the tail by |c|, and a
+    substitution adds |a_mn| tail(Y^n) per coefficient of the outer series
+    plus the tails of its Horner products.
     """
 
     __slots__ = ("coeffs", "trunc_total", "tail")
@@ -310,6 +349,19 @@ class CrownSeries:
         self.coeffs = c
         self.trunc_total = D
         self.tail = tail + dropped
+
+    @classmethod
+    def _adopt(cls, coeffs: np.ndarray, D: int, tail: float) -> "CrownSeries":
+        """Wrap a freshly computed, already triangular array without copying.
+
+        The caller hands over ownership: nothing else may hold ``coeffs``.
+        """
+        coeffs.setflags(write=False)
+        obj = cls.__new__(cls)
+        obj.coeffs = coeffs
+        obj.trunc_total = D
+        obj.tail = tail
+        return obj
 
     # -- constructors ------------------------------------------------------
 
@@ -389,36 +441,36 @@ class CrownSeries:
     def __add__(self, other):
         if isinstance(other, CrownSeries):
             D = self._matched(other)
-            return CrownSeries(self.coeffs + other.coeffs, D, self.tail + other.tail)
+            return CrownSeries._adopt(self.coeffs + other.coeffs, D, self.tail + other.tail)
         c = self.coeffs.copy()
         c[0, 0] += other
-        return CrownSeries(c, self.trunc_total, self.tail)
+        return CrownSeries._adopt(c, self.trunc_total, self.tail)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, CrownSeries):
             D = self._matched(other)
-            return CrownSeries(self.coeffs - other.coeffs, D, self.tail + other.tail)
+            return CrownSeries._adopt(self.coeffs - other.coeffs, D, self.tail + other.tail)
         return self + (-other)
 
     def __neg__(self):
-        return CrownSeries(-self.coeffs, self.trunc_total, self.tail)
+        return CrownSeries._adopt(-self.coeffs, self.trunc_total, self.tail)
 
     def __mul__(self, other):
         if isinstance(other, CrownSeries):
             return multiply(self, other)
-        return CrownSeries(self.coeffs * other, self.trunc_total, self.tail * abs(other))
+        return CrownSeries._adopt(self.coeffs * other, self.trunc_total, self.tail * abs(other))
 
     __rmul__ = __mul__
 
     def conj(self) -> "CrownSeries":
         """Coefficientwise conjugate; realizes rho-conjugation of maps."""
-        return CrownSeries(np.conj(self.coeffs), self.trunc_total, self.tail)
+        return CrownSeries._adopt(np.conj(self.coeffs), self.trunc_total, self.tail)
 
     def swap(self) -> "CrownSeries":
         """f(eta, xi): transpose of the coefficient array."""
-        return CrownSeries(self.coeffs.T, self.trunc_total, self.tail)
+        return CrownSeries._adopt(self.coeffs.T.copy(), self.trunc_total, self.tail)
 
     # -- crown decomposition ---------------------------------------------------
 
@@ -461,12 +513,28 @@ class CrownSeries:
                 f"empty crown: |omega| = {abs(np_.omega):.3g} >= r^2 - beta = "
                 f"{np_.radius ** 2 - np_.beta:.3g}"
             )
+        D = self.trunc_total
+        rows, cols, degree = _crown_index(D)
+        padded = np.zeros((D + 2, D + 2), dtype=np.complex128)
+        padded[: D + 1, : D + 1] = self.coeffs
+        crown = padded[rows, cols]
+        # one Horner over every crown coefficient f_lj at once; the zero
+        # padding above a row's own degree leaves its values unchanged
+        if np_.beta == 0.0:
+            zs = np.array([np_.omega], dtype=np.complex128)
+        else:
+            n = np_.boundary_samples
+            th = 2.0 * np.pi * np.arange(n) / n
+            zs = np_.omega + np_.beta * np.exp(1j * th)
+        vals = np.repeat(crown[:, -1:], zs.size, axis=1)
+        for k in range(crown.shape[1] - 2, -1, -1):
+            vals = vals * zs + crown[:, k : k + 1]
+        sups = np.max(np.abs(vals), axis=1).tolist()
+        rpow = np_.radius ** np.arange(D + 1)
         total = 0.0
-        rpow = np_.radius ** np.arange(self.trunc_total + 1)
-        for l, j, h in self.crown_decompose():
-            m = h.disk_max(np_.omega, np_.beta, np_.boundary_samples)
+        for m, d in zip(sups, degree.tolist()):
             if m != 0.0:
-                total += m * rpow[l + j]
+                total += m * rpow[d]
         return total
 
     def norm_refinement_delta(self, np_: CrownNormParams) -> float:
@@ -543,20 +611,9 @@ class CrownSeries:
 
     def substitute(self, X: "CrownSeries", Y: "CrownSeries") -> "CrownSeries":
         """h(X(xi,eta), Y(xi,eta)) in the truncated ring (Horner in both slots)."""
-        D = self._matched(X)
+        self._matched(X)
         X._matched(Y)
-        ypow = [CrownSeries.constant(1.0, D)]
-        for _ in range(D):
-            ypow.append(multiply(ypow[-1], Y))
-        out = CrownSeries.zero(D)
-        for m in range(D, -1, -1):
-            row = CrownSeries.zero(D)
-            for n in range(D - m + 1):
-                a = self.coeffs[m, n]
-                if a != 0.0:
-                    row = row + ypow[n] * a
-            out = multiply(out, X) + row
-        return out
+        return _horner(self, X, _powers(Y))
 
     def compose_z(self, h: CoeffSeries) -> "CrownSeries":
         """h(self): univariate h evaluated on a bivariate argument (Horner)."""
@@ -603,14 +660,59 @@ class CrownSeries:
 
 
 def multiply(f: CrownSeries, g: CrownSeries) -> CrownSeries:
-    """Exact truncated product; terms of total degree > D are dropped."""
+    """Truncated product by a direct sum; terms of total degree > D are dropped.
+
+    For each eta-degree n of a nonzero column of f, the xi-convolution with
+    f[:, n] is the lower-triangular Toeplitz block T[p, q] = f[p - q, n], a
+    strided view of a zero-padded copy of f; one matrix product with
+    g[:, :D+1-n] adds that column's share to out[:, n:].  The terms this
+    forms above the triangle are zeroed and their 1-norm goes to ``tail``.
+    """
     D = f._matched(g)
-    out = np.zeros((D + 1, D + 1), dtype=np.complex128)
-    rows, cols = np.nonzero(f.coeffs)
-    for m, n in zip(rows, cols):
-        a = f.coeffs[m, n]
-        out[m:, n:] += a * g.coeffs[: D + 1 - m, : D + 1 - n]
-    return CrownSeries(out, D, tail=f.tail + g.tail)
+    size = D + 1
+    padded = np.zeros((2 * size - 1, size), dtype=np.complex128)
+    padded[D:] = f.coeffs
+    toeplitz = sliding_window_view(padded, size, axis=0)[:, :, ::-1]
+    out = np.zeros((size, size), dtype=np.complex128)
+    for n in np.flatnonzero(f.coeffs.any(axis=0)):
+        out[:, n:] += toeplitz[:, n, :] @ g.coeffs[:, : size - n]
+    above = ~_triangle_mask(size)
+    dropped = float(np.sum(np.abs(out[above])))
+    out[above] = 0.0
+    return CrownSeries._adopt(out, D, f.tail + g.tail + dropped)
+
+
+def _powers(Y: CrownSeries) -> list[CrownSeries]:
+    """Y^0, ..., Y^D in the truncated ring."""
+    D = Y.trunc_total
+    out = [CrownSeries.constant(1.0, D), Y]
+    for _ in range(D - 1):
+        out.append(multiply(out[-1], Y))
+    return out[: D + 1]
+
+
+def _horner(h: CrownSeries, X: CrownSeries, ypow: list[CrownSeries]) -> CrownSeries:
+    """h(X, Y) = sum_m X^m row_m(Y) by Horner in X, given the powers of Y.
+
+    Each row_m = sum_n a_mn Y^n is summed as an array; its tail is
+    sum_n |a_mn| tail(Y^n).  As in a Horner scheme started from the zero
+    series, the result carries X's tail once per row.
+    """
+    D = h.trunc_total
+    a = h.coeffs
+    acc = None
+    for m in range(D, -1, -1):
+        row = np.zeros((D + 1, D + 1), dtype=np.complex128)
+        tail = 0.0
+        for n in np.flatnonzero(a[m, : D - m + 1]):
+            row += ypow[n].coeffs * a[m, n]
+            tail += ypow[n].tail * abs(a[m, n])
+        if acc is None:
+            acc = CrownSeries._adopt(row, D, X.tail + tail)
+        else:
+            prod = multiply(acc, X)
+            acc = CrownSeries._adopt(prod.coeffs + row, D, prod.tail + tail)
+    return acc
 
 
 def pair_norm(fg: tuple[CrownSeries, CrownSeries], np_: CrownNormParams) -> float:
@@ -625,6 +727,18 @@ def rotation_factor(alpha: CoeffSeries, b: float, D: int) -> CrownSeries:
     retains, so that paired rotations cancel exactly in the truncated ring.
     """
     return CrownSeries.from_z_series(alpha.truncate(D // 2).exp(1j * b), D)
+
+
+def principal_part(alpha: CoeffSeries, b: float, D: int) -> MapPair:
+    """(e^{i b alpha(xi eta)} xi, e^{-i b alpha(xi eta)} eta), the rotation map.
+
+    The linear-in-(xi, eta) part of tau1 (b = -1/2, components swapped), of
+    sigma (b = 1) and of every conjugated pair in between.
+    """
+    return (
+        multiply(rotation_factor(alpha, b, D), CrownSeries.xi(D)),
+        multiply(rotation_factor(alpha, -b, D), CrownSeries.eta(D)),
+    )
 
 
 def compose_rotated(
@@ -644,11 +758,8 @@ def compose_rotated(
         raise SeriesError(f"|b| = {abs(b):.3g} exceeds limit {b_limit:.3g}")
     D = h._matched(f)
     h._matched(g)
-    rot = rotation_factor(alpha, b, D)
-    rot_inv = rotation_factor(alpha, -b, D)
-    X = multiply(rot, CrownSeries.xi(D)) + f
-    Y = multiply(rot_inv, CrownSeries.eta(D)) + g
-    return h.substitute(X, Y)
+    P = principal_part(alpha, b, D)
+    return h.substitute(P[0] + f, P[1] + g)
 
 
 MapPair = tuple[CrownSeries, CrownSeries]
@@ -659,8 +770,16 @@ def identity_pair(D: int) -> MapPair:
 
 
 def substitute_pair(F: MapPair, G: MapPair) -> MapPair:
-    """Composition F(G) of maps given as coefficient-series pairs."""
-    return (F[0].substitute(G[0], G[1]), F[1].substitute(G[0], G[1]))
+    """Composition F(G) of maps given as coefficient-series pairs.
+
+    The powers of G's second component are computed once for both rows.
+    """
+    X, Y = G
+    F[0]._matched(F[1])
+    F[0]._matched(X)
+    X._matched(Y)
+    ypow = _powers(Y)
+    return (_horner(F[0], X, ypow), _horner(F[1], X, ypow))
 
 
 def invert_near_identity(
@@ -687,9 +806,8 @@ def invert_near_identity(
     xi, eta = identity_pair(D)
     V = (-u, -v)
     for _ in range(max_iters):
-        X = xi + V[0]
-        Y = eta + V[1]
-        Vn = (-u.substitute(X, Y), -v.substitute(X, Y))
+        W = substitute_pair(U, (xi + V[0], eta + V[1]))
+        Vn = (-W[0], -W[1])
         delta = max(
             float(np.max(np.abs(Vn[0].coeffs - V[0].coeffs))),
             float(np.max(np.abs(Vn[1].coeffs - V[1].coeffs))),

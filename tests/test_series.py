@@ -12,6 +12,7 @@ from crownkam.series import (
     identity_pair,
     invert_near_identity,
     multiply,
+    principal_part,
     rotation_factor,
     substitute_pair,
 )
@@ -293,6 +294,21 @@ def test_coefficient_bound():
             assert m <= total * np_.radius ** -(l + j) * (1 + 1e-12) + 1e-15
 
 
+def test_norm_equals_per_entry_disk_max_sum():
+    # the one-pass norm keeps the per-entry sums bit for bit, beta = 0 included
+    rng = np.random.default_rng(31)
+    for D in (0, 1, 6, 13):
+        f = random_crown(rng, D)
+        for beta in (0.0, 0.0004):
+            np_ = CrownNormParams(0.002, beta, 0.09, 48)
+            want = 0.0
+            for l, j, h in f.crown_decompose():
+                m = h.disk_max(np_.omega, np_.beta, np_.boundary_samples)
+                if m != 0.0:
+                    want += m * np_.radius ** np.arange(D + 1)[l + j]
+            assert f.crown_norm(np_) == want
+
+
 def test_conjugate_involutive():
     rng = np.random.default_rng(29)
     f = random_crown(rng, 6)
@@ -362,6 +378,19 @@ def test_compose_rotated_of_xi():
     got = compose_rotated(CrownSeries.xi(D), b, alpha, z, z)
     want = multiply(rotation_factor(alpha, b, D), CrownSeries.xi(D))
     assert np.max(np.abs(got.coeffs - want.coeffs)) < 1e-14
+
+
+def test_principal_part_is_the_inline_product():
+    alpha = CoeffSeries(np.array([1.1, 0.7, -0.2]), real=True)
+    for D, b in ((1, 0.5), (8, -0.5), (12, 1.0)):
+        got = principal_part(alpha, b, D)
+        want = (
+            multiply(rotation_factor(alpha, b, D), CrownSeries.xi(D)),
+            multiply(rotation_factor(alpha, -b, D), CrownSeries.eta(D)),
+        )
+        for g, w in zip(got, want):
+            assert g.coeffs.tobytes() == w.coeffs.tobytes()
+            assert g.tail == w.tail
 
 
 def test_compose_rotated_preserves_product_functions():
