@@ -21,6 +21,8 @@ from .series import (
     CrownSeries,
     MapPair,
     SeriesError,
+    _newton_inverse,
+    identity_pair,
     multiply,
     substitute_pair,
 )
@@ -120,7 +122,7 @@ def deck_transformation(M: BishopSurface, solver_tol: float = 1e-11) -> MapPair:
     z1 = CrownSeries.xi(D)
     w1 = CrownSeries.eta(D)
     F = M.height()
-    dF = _d_deta(M.f)
+    dF = M.f.partial(1)
 
     # fiberwise critical point: 2 gamma w_c + z1 + f_w(z1, w_c) = 0
     wc = z1 * (-0.5 / g)
@@ -154,14 +156,6 @@ def deck_transformation(M: BishopSurface, solver_tol: float = 1e-11) -> MapPair:
     # back to w1 = t + w_c: phi1(z1, w1) = w_c(z1) + t'(z1, w1 - w_c)
     tprime = deck_t[1].substitute(z1, w1 - wc)
     return (z1, tprime + wc)
-
-
-def _d_deta(h: CrownSeries) -> CrownSeries:
-    """Partial derivative with respect to the second variable."""
-    D = h.trunc_total
-    c = np.zeros_like(h.coeffs)
-    c[:, :D] = h.coeffs[:, 1:] * np.arange(1, D + 1)[None, :]
-    return CrownSeries(c, D)
 
 
 def diagonalize(M: BishopSurface) -> tuple[DiagonalFrame, InvolutionPair]:
@@ -223,7 +217,10 @@ def reconstruct_surface(
 
 
 def invert_map(F: MapPair, tol: float = 1e-13, max_iters: int = 80) -> MapPair:
-    """Inverse of a map with invertible linear part, F o G = Id to truncation."""
+    """Inverse of a map with invertible linear part, F o G = Id to truncation.
+
+    Newton's method started from the inverse A^{-1} of the linear part.
+    """
     D = F[0].trunc_total
     A = np.array(
         [
@@ -237,29 +234,15 @@ def invert_map(F: MapPair, tol: float = 1e-13, max_iters: int = 80) -> MapPair:
     if abs(complex(F[0].coeffs[0, 0])) + abs(complex(F[1].coeffs[0, 0])) > 1e-13:
         raise SeriesError("map must fix the origin")
     Ainv = np.array([[A[1, 1], -A[0, 1]], [-A[1, 0], A[0, 0]]]) / det
-    xi = CrownSeries.xi(D)
-    eta = CrownSeries.eta(D)
-    # N = F - A: the nonlinear tail
-    N = (
-        F[0] - xi * complex(A[0, 0]) - eta * complex(A[0, 1]),
-        F[1] - xi * complex(A[1, 0]) - eta * complex(A[1, 1]),
+    xi, eta = identity_pair(D)
+    # F = Id + U and G = Id + V, with V starting at A^{-1} - I
+    U = (F[0] - xi, F[1] - eta)
+    V = (
+        xi * complex(Ainv[0, 0] - 1.0) + eta * complex(Ainv[0, 1]),
+        xi * complex(Ainv[1, 0]) + eta * complex(Ainv[1, 1] - 1.0),
     )
-    G = (xi * complex(Ainv[0, 0]) + eta * complex(Ainv[0, 1]),
-         xi * complex(Ainv[1, 0]) + eta * complex(Ainv[1, 1]))
-    for _ in range(max_iters):
-        NG = substitute_pair(N, G)
-        Gn = (
-            (xi - NG[0]) * complex(Ainv[0, 0]) + (eta - NG[1]) * complex(Ainv[0, 1]),
-            (xi - NG[0]) * complex(Ainv[1, 0]) + (eta - NG[1]) * complex(Ainv[1, 1]),
-        )
-        delta = max(
-            float(np.max(np.abs(Gn[0].coeffs - G[0].coeffs))),
-            float(np.max(np.abs(Gn[1].coeffs - G[1].coeffs))),
-        )
-        G = Gn
-        if delta < tol:
-            break
-    return G
+    V = _newton_inverse(U, V, tol, max_iters, "map inversion")
+    return (xi + V[0], eta + V[1])
 
 
 def hyperbola_image(

@@ -609,6 +609,19 @@ class CrownSeries:
         """Principal square root via exp(log/2)."""
         return self.log().exp(0.5)
 
+    def partial(self, var: int) -> "CrownSeries":
+        """Partial derivative in xi (var = 0) or eta (var = 1); keeps the tail."""
+        D = self.trunc_total
+        c = np.zeros((D + 1, D + 1), dtype=np.complex128)
+        k = np.arange(1, D + 1)
+        if var == 0:
+            c[:D] = self.coeffs[1:] * k[:, None]
+        elif var == 1:
+            c[:, :D] = self.coeffs[:, 1:] * k[None, :]
+        else:
+            raise SeriesError("partial derivative needs var 0 (xi) or 1 (eta)")
+        return CrownSeries._adopt(c, D, self.tail)
+
     def substitute(self, X: "CrownSeries", Y: "CrownSeries") -> "CrownSeries":
         """h(X(xi,eta), Y(xi,eta)) in the truncated ring (Horner in both slots)."""
         self._matched(X)
@@ -788,13 +801,13 @@ def invert_near_identity(
     max_iters: int = MAX_INVERSE_ITERS,
     guard: tuple[CrownNormParams, float, float] | None = None,
 ) -> MapPair:
-    """V with (Id+U)o(Id+V) = Id up to truncation, via V <- -U o (Id+V).
+    """V with (Id+U)o(Id+V) = Id up to truncation, by Newton's method from V = -U.
 
     ``guard``, when given, is (norm params at (beta', r'), r', r'') and enforces
     the smallness precondition ||U|| < beta' (r'-r'') / (30 r') before iterating.
     """
     u, v = U
-    D = u._matched(v)
+    u._matched(v)
     if guard is not None:
         np_, rp, rpp = guard
         bound = np_.beta * (rp - rpp) / (30.0 * rp)
@@ -803,16 +816,39 @@ def invert_near_identity(
             raise SeriesError(
                 f"near-identity inversion rejected: ||U|| = {nu:.3g} >= {bound:.3g}"
             )
+    return _newton_inverse(U, (-u, -v), inverse_tol, max_iters, "near-identity inversion")
+
+
+def _newton_inverse(
+    U: MapPair, V: MapPair, tol: float, max_iters: int, what: str
+) -> MapPair:
+    """V with (Id+U)o(Id+V) = Id up to truncation, by Newton's method from V.
+
+    Each pass forms the error E = (Id+U)o(Id+V) - Id = V + Uo(Id+V) with one
+    ``substitute_pair`` and steps V <- V - (I + DV) E, where I + DV, the
+    Jacobian of Id+V, stands for the inverse Jacobian of Id+U at Id+V; the
+    error falls quadratically.  The stationary point is the exact truncated
+    inverse, since I + DV is invertible in the ring whenever Id+V has an
+    invertible linear part.  It stops when the largest coefficient of a step
+    is below ``tol`` times max(1, largest coefficient of V): a step cannot
+    fall below the rounding of the terms that form E, which grows with V.
+    V carries the tail of its pass's composition Uo(Id+V), the tail the
+    fixed-point iteration V <- -Uo(Id+V) would give.
+    """
+    D = U[0]._matched(V[0])
     xi, eta = identity_pair(D)
-    V = (-u, -v)
     for _ in range(max_iters):
         W = substitute_pair(U, (xi + V[0], eta + V[1]))
-        Vn = (-W[0], -W[1])
-        delta = max(
-            float(np.max(np.abs(Vn[0].coeffs - V[0].coeffs))),
-            float(np.max(np.abs(Vn[1].coeffs - V[1].coeffs))),
+        e0, e1 = V[0] + W[0], V[1] + W[1]
+        step = [
+            e + multiply(v.partial(0), e0) + multiply(v.partial(1), e1)
+            for v, e in zip(V, (e0, e1))
+        ]
+        V = tuple(
+            CrownSeries._adopt(v.coeffs - s.coeffs, D, w.tail)
+            for v, s, w in zip(V, step, W)
         )
-        V = Vn
-        if delta < inverse_tol:
+        size = max(1.0, V[0].max_abs_coeff(), V[1].max_abs_coeff())
+        if max(step[0].max_abs_coeff(), step[1].max_abs_coeff()) < tol * size:
             return V
-    raise SeriesError(f"near-identity inversion did not converge in {max_iters} iterations")
+    raise SeriesError(f"{what} did not converge in {max_iters} iterations")

@@ -456,6 +456,40 @@ def test_compose_rotated_lipschitz_bound():
 
 
 # ---------------------------------------------------------------------------
+# partial derivatives
+# ---------------------------------------------------------------------------
+
+
+def test_partial_derivatives_of_monomials():
+    D = 6
+    for m in range(D + 1):
+        for n in range(D + 1 - m):
+            f = CrownSeries.monomial(m, n, D, 2.0 - 1.0j)
+            dxi, deta = f.partial(0), f.partial(1)
+            want_xi = np.zeros((D + 1, D + 1), dtype=complex)
+            want_eta = np.zeros((D + 1, D + 1), dtype=complex)
+            if m:
+                want_xi[m - 1, n] = m * (2.0 - 1.0j)
+            if n:
+                want_eta[m, n - 1] = n * (2.0 - 1.0j)
+            assert np.array_equal(dxi.coeffs, want_xi)
+            assert np.array_equal(deta.coeffs, want_eta)
+    with pytest.raises(SeriesError):
+        f.partial(2)
+
+
+def test_partial_eta_is_the_column_shift():
+    # the eta-derivative the deck transformation used to build by hand
+    rng = np.random.default_rng(45)
+    D = 9
+    h = random_crown(rng, D)
+    c = np.zeros_like(h.coeffs)
+    c[:, :D] = h.coeffs[:, 1:] * np.arange(1, D + 1)[None, :]
+    assert np.array_equal(h.partial(1).coeffs, c)
+    assert np.array_equal(h.swap().partial(0).coeffs, h.partial(1).swap().coeffs)
+
+
+# ---------------------------------------------------------------------------
 # near-identity inversion
 # ---------------------------------------------------------------------------
 
@@ -489,6 +523,14 @@ def test_invert_quadratic_residual():
         comp = substitute_pair((xi + U[0], eta + U[1]), (xi + V[0], eta + V[1]))
         res = max((comp[0] - xi).max_abs_coeff(), (comp[1] - eta).max_abs_coeff())
         assert res <= 10 * 1e-14 + 1e-13
+
+
+def test_invert_raises_when_not_converged():
+    rng = np.random.default_rng(44)
+    D = 8
+    U = (random_crown(rng, D, 0.01, 2), random_crown(rng, D, 0.01, 2))
+    with pytest.raises(SeriesError, match="did not converge"):
+        invert_near_identity(U, max_iters=1)
 
 
 def test_invert_guard_rejects_large_perturbation():

@@ -1,11 +1,13 @@
 """The series kernels against a 50-digit oracle, plus ring properties.
 
-Every coefficient of ``multiply``, ``substitute``, ``substitute_pair`` and
-every term of ``crown_norm`` is recomputed with mpmath at 50 significant
-digits from the same double-precision inputs, so the only difference left
-is the kernel's own rounding.  A product coefficient is a sum of at most
-(D+1)^2 complex products, which bounds its error by 2(D+1)^2 eps times the
-same coefficient of |f| * |g|.
+Every coefficient of ``multiply``, ``substitute``, ``substitute_pair``,
+``exp`` and ``log`` and every term of ``crown_norm`` is recomputed with
+mpmath at 50 significant digits from the same double-precision inputs, so
+the only difference left is the kernel's own rounding.  A product
+coefficient is a sum of at most (D+1)^2 complex products, which bounds its
+error by 2(D+1)^2 eps times the same coefficient of |f| * |g|.  The
+inverters are checked against both composition orders, against the
+fixed-point iteration they replaced, and by their pass count.
 """
 
 import mpmath
@@ -14,7 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import crownkam.series as series
+from crownkam.moserwebster import invert_map
 from crownkam.series import (
+    EXP_TAIL_TOL,
+    CoeffSeries,
     CrownNormParams,
     CrownSeries,
     _triangle_mask,
@@ -250,8 +256,154 @@ def test_inverse_composes_to_identity(D, seed):
     U = (CrownSeries(decaying(rng, D, 1e-2, 2), D), CrownSeries(decaying(rng, D, 1e-2, 2), D))
     V = invert_near_identity(U)
     xi, eta = identity_pair(D)
-    W = substitute_pair((xi + U[0], eta + U[1]), (xi + V[0], eta + V[1]))
-    assert max((W[0] - xi).max_abs_coeff(), (W[1] - eta).max_abs_coeff()) <= 1e-14
+    F, G = (xi + U[0], eta + U[1]), (xi + V[0], eta + V[1])
+    # a right inverse in the truncated ring is also a left inverse
+    for W in (substitute_pair(F, G), substitute_pair(G, F)):
+        assert max((W[0] - xi).max_abs_coeff(), (W[1] - eta).max_abs_coeff()) <= 1e-14
+
+
+# ---------------------------------------------------------------------------
+# the Newton inverter
+# ---------------------------------------------------------------------------
+
+
+def near_identity_map(rng, D, scale=1e-2):
+    return (CrownSeries(decaying(rng, D, scale, 2), D), CrownSeries(decaying(rng, D, scale, 2), D))
+
+
+def fixed_point_inverse(U, tol=1e-14, max_iters=50):
+    """The inverter Newton's method replaced: V <- -U o (Id+V) from V = -U."""
+    xi, eta = identity_pair(U[0].trunc_total)
+    V = (-U[0], -U[1])
+    for _ in range(max_iters):
+        W = substitute_pair(U, (xi + V[0], eta + V[1]))
+        delta = max(float(np.max(np.abs(W[k].coeffs + V[k].coeffs))) for k in range(2))
+        V = (-W[0], -W[1])
+        if delta < tol:
+            return V
+    raise AssertionError("fixed-point iteration did not converge")
+
+
+@pytest.mark.parametrize("D", [12, 24])
+def test_inverse_matches_fixed_point_iteration(D):
+    U = near_identity_map(np.random.default_rng(200 + D), D)
+    V, ref = invert_near_identity(U), fixed_point_inverse(U)
+    for k in range(2):
+        assert np.max(np.abs(V[k].coeffs - ref[k].coeffs)) <= 1e-15
+
+
+def test_inverse_converges_quadratically(monkeypatch):
+    # one composition per pass; the fixed-point iteration needed 7 here
+    calls = []
+
+    def counted(F, G):
+        calls.append(1)
+        return substitute_pair(F, G)
+
+    D = 24
+    U = near_identity_map(np.random.default_rng(300), D)
+    monkeypatch.setattr(series, "substitute_pair", counted)
+    invert_near_identity(U)
+    assert 1 <= len(calls) <= 4
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_invert_map_general_linear_part(seed):
+    D = 12
+    rng = np.random.default_rng(400 + seed)
+    A = np.eye(2) + 0.3 * (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    assert abs(np.linalg.det(A)) > 0.3
+    xi, eta = identity_pair(D)
+    F = (
+        xi * complex(A[0, 0]) + eta * complex(A[0, 1]) + CrownSeries(decaying(rng, D, 0.1, 2), D),
+        xi * complex(A[1, 0]) + eta * complex(A[1, 1]) + CrownSeries(decaying(rng, D, 0.1, 2), D),
+    )
+    G = invert_map(F)
+    for W in (substitute_pair(F, G), substitute_pair(G, F)):
+        assert max((W[0] - xi).max_abs_coeff(), (W[1] - eta).max_abs_coeff()) <= 1e-13
+    linear = np.array([[G[0].coeffs[1, 0], G[0].coeffs[0, 1]], [G[1].coeffs[1, 0], G[1].coeffs[0, 1]]])
+    assert np.allclose(linear, np.linalg.inv(A), rtol=0.0, atol=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# exp and log against the oracle
+#
+# exp(a f) sums the terms (a g)^k / k! of g = f - f(0) and scales by
+# e^{a f(0)}.  Term k takes k products, each within 2(D+1)^2 eps of the
+# majorant, so the sum is within (D+2) 2(D+1)^2 eps times the majorant
+# |e^{a f(0)}| exp(|a| |g|) coefficientwise; stopping once a term is below
+# EXP_TAIL_TOL leaves out at most EXP_TAIL_TOL |e^{a f(0)}| (e^{|a| ||g||_1} - 1)
+# per coefficient.  log f = log f(0) + sum_k (-1)^{k+1} u^k / k with
+# u = f / f(0) - 1 has the majorant |log f(0)| + sum_k |u|^k / k and the
+# same factor, plus EXP_TAIL_TOL sum_{i<=D} ||u||_1^i for the early stop
+# (u^i vanishes beyond i = D in the truncated ring).
+# ---------------------------------------------------------------------------
+
+
+def mp_power_sum(g: list, weights: list, D: int) -> list:
+    """sum_k weights[k] g^k in the truncated ring at 50 digits (g^0 = 1)."""
+    unit = np.zeros((D + 1, D + 1))
+    unit[0, 0] = 1.0
+    term = mp_series(unit)
+    acc = [[weights[0] * x for x in row] for row in term]
+    for w in weights[1:]:
+        term = mp_multiply(term, g, D)[0]
+        acc = [[x + w * y for x, y in zip(r, t)] for r, t in zip(acc, term)]
+    return acc
+
+
+def check_exp_log(f0, rest, a, got_exp, got_log):
+    """exp(a f) and log f of f = f0 + rest, rest(0, 0) = 0, against the oracle."""
+    mpmath.mp.dps = DIGITS
+    D = rest.shape[0] - 1
+    gamma = (D + 2) * 2.0 * (D + 1) ** 2 * EPS
+    scaled = lambda c, w: [[w * x for x in row] for row in c]
+
+    fact = [1 / mpmath.factorial(k) for k in range(D + 1)]
+    head = mpmath.exp(mpmath.mpc(a) * mpmath.mpc(f0))
+    ag = scaled(mp_series(rest), mpmath.mpc(a))
+    ref = to_complex(scaled(mp_power_sum(ag, fact, D), head))
+    major = abs(complex(head)) * to_complex(mp_power_sum(mp_series(abs(a) * np.abs(rest)), fact, D)).real
+    tail = EXP_TAIL_TOL * abs(complex(head)) * np.expm1(abs(a) * np.sum(np.abs(rest)))
+    assert np.all(np.abs(got_exp - ref) <= gamma * major + tail)
+
+    inv = [0] + [mpmath.mpf(-1) ** (k + 1) / k for k in range(1, D + 1)]
+    log0 = mpmath.log(mpmath.mpc(f0))
+    ref = to_complex(mp_power_sum(scaled(mp_series(rest), 1 / mpmath.mpc(f0)), inv, D))
+    ref[0, 0] = complex(log0)
+    u_abs = np.abs(rest) / abs(f0)
+    major = to_complex(mp_power_sum(mp_series(u_abs), [abs(w) for w in inv], D)).real
+    major[0, 0] = abs(complex(log0))
+    tail = EXP_TAIL_TOL * np.sum(np.sum(u_abs) ** np.arange(D + 1))
+    assert np.all(np.abs(got_log - ref) <= gamma * major + tail)
+
+
+# a small f stops the exp sums and the crown log sum early on EXP_TAIL_TOL;
+# a large one runs them to D
+EXP_LOG_CASES = [(1.0, 0.4), (0.5j, 0.02)]
+F0 = 1.3 - 0.4j
+
+
+@pytest.mark.parametrize("a, size", EXP_LOG_CASES)
+def test_coeff_exp_log_match_oracle(a, size):
+    # a series in z is checked as the same series in xi alone
+    D = 12
+    rng = np.random.default_rng(500)
+    c = (rng.standard_normal(D + 1) + 1j * rng.standard_normal(D + 1)) * size * 2.0 ** -np.arange(D + 1)
+    c[0] = F0
+    f = CoeffSeries(c)
+    as_xi = lambda z: np.pad(z[:, None], ((0, 0), (0, D)))
+    rest = as_xi(c)
+    rest[0, 0] = 0.0
+    check_exp_log(F0, rest, a, as_xi(f.exp(a).coeffs), as_xi(f.log().coeffs))
+
+
+@pytest.mark.parametrize("a, size", EXP_LOG_CASES)
+def test_crown_exp_log_match_oracle(a, size):
+    D = 12
+    rest = decaying(np.random.default_rng(501), D, size, 1)
+    f = CrownSeries(rest, D) + F0
+    check_exp_log(F0, rest, a, f.exp(a).coeffs, f.log().coeffs)
 
 
 def test_results_are_fresh_and_read_only():
