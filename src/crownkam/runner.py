@@ -19,7 +19,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -186,6 +186,16 @@ def _measure_pair(pair, omegas, beta, r, ns=64) -> tuple[float, float]:
     return eps, skew
 
 
+def calibrate_delta(alpha: CoeffSeries, D: int, geom: StepGeometry, delta: float) -> float:
+    """delta lowered to 0.9 times the small-divisor floor on geom's samples.
+
+    The floor is the least |e^{i n alpha} - 1| over orders n <= K_cut(D) + 1
+    and the disks of radius beta~ around geom's omega samples and the origin.
+    """
+    floor = divisor_minimum(alpha, geom, geom.K_cut(D) + 1, geom.beta_tilde)
+    return min(delta, 0.9 * floor)
+
+
 def prepare(config: RunConfig) -> tuple[KamState, dict]:
     """Build, normalize and branch; lands at the iteration's entry state."""
     D = config.degree
@@ -251,20 +261,10 @@ def prepare(config: RunConfig) -> tuple[KamState, dict]:
         g0 = StepGeometry(r_star, 0.75 * r_star, beta, eps=rs.A, delta=1.0, s=s,
                           omega_samples=tuple(O_full.sample(7)),
                           boundary_samples=config.boundary_samples)
-        dmin = divisor_minimum(prep.alpha, g0, g0.K_cut(D) + 1, g0.beta_tilde)
-        delta = min(100.0 * rs.A ** (1.0 / (60.0 * s)), 0.9 * dmin)
+        delta = calibrate_delta(prep.alpha, D, g0, 100.0 * rs.A ** (1.0 / (60.0 * s)))
         O_delta = excise_resonances(O_full, prep.alpha, g0.K_cut(D), delta)
-        omegas_delta = tuple(O_delta.sample(7))
-        g1 = StepGeometry(r_star, 0.75 * r_star, beta, eps=rs.A, delta=1.0, s=s,
-                          omega_samples=omegas_delta,
-                          boundary_samples=config.boundary_samples)
-        delta = min(delta, 0.9 * divisor_minimum(prep.alpha, g1, g1.K_cut(D) + 1,
-                                                 g1.beta_tilde))
-        geom = StepGeometry(
-            r_star, 0.75 * r_star, beta, eps=rs.A, delta=delta, s=s,
-            omega_samples=omegas_delta,
-            boundary_samples=config.boundary_samples,
-        )
+        g1 = replace(g0, omega_samples=tuple(O_delta.sample(7)))
+        geom = replace(g1, delta=calibrate_delta(prep.alpha, D, g1, delta))
         pair0, links, rep = main_step(prep, geom)
         record["preliminary_step"] = rep.to_dict()
         prelim_links = list(links)
@@ -364,9 +364,10 @@ def iterate(state: KamState, max_nu: int, config: RunConfig) -> KamState:
         g0 = StepGeometry(r_nu, r_next, beta_nu, eps=eps_nu, delta=1.0, s=state.s,
                           omega_samples=omegas, boundary_samples=config.boundary_samples)
         K_cut = g0.K_cut(D)
-        delta_paper = eps_nu ** (1.0 / (64.0 * state.s))
-        dmin = divisor_minimum(state.pair.alpha, g0, K_cut + 1, g0.beta_tilde)
-        delta = delta_paper if state.mode == "rigorous" else min(delta_paper, 0.9 * dmin)
+        practical = state.mode == "practical"
+        delta = eps_nu ** (1.0 / (64.0 * state.s))
+        if practical:
+            delta = calibrate_delta(state.pair.alpha, D, g0, delta)
 
         window = IntervalSet.interval(-r_next * r_next, r_next * r_next)
         O_shrunk = state.O.intersect(window)
@@ -403,17 +404,10 @@ def iterate(state: KamState, max_nu: int, config: RunConfig) -> KamState:
                 raise SeriesError("no valid omega samples after excision")
             # recalibrate delta on the surviving samples: the excision grid and
             # the step's working grid must see the same divisor floor
-            g1 = StepGeometry(
-                r_nu, r_next, beta_nu, eps=eps_nu, delta=1.0, s=state.s,
-                omega_samples=omegas_next, boundary_samples=config.boundary_samples,
-            )
-            dmin_next = divisor_minimum(state.pair.alpha, g1, K_cut + 1, g1.beta_tilde)
-            if state.mode == "practical":
-                delta = min(delta, 0.9 * dmin_next)
-            geom = StepGeometry(
-                r_nu, r_next, beta_nu, eps=eps_nu, delta=delta, s=state.s,
-                omega_samples=omegas_next, boundary_samples=config.boundary_samples,
-            )
+            g1 = replace(g0, omega_samples=omegas_next)
+            if practical:
+                delta = calibrate_delta(state.pair.alpha, D, g1, delta)
+            geom = replace(g1, delta=delta)
             pair_next, links, rep = main_step(state.pair, geom)
         except SeriesError as e:
             state.status = f"step-failed: {e}"

@@ -327,9 +327,11 @@ class CrownSeries:
     square above the triangle (terms beyond the square are never formed);
     for the public constructor, the above-triangle entries of its input;
     for ``from_z_series``, the z-coefficients beyond D//2.  Sums add the
-    operands' tails, scalar multiples scale the tail by |c|, and a
-    substitution adds |a_mn| tail(Y^n) per coefficient of the outer series
-    plus the tails of its Horner products.
+    operands' tails, and scalar multiples scale the tail by |c|.  A
+    substitution h(X, Y) carries X's tail once per row of h, adds |a_mn|
+    tail(Y^n) per coefficient of h, and adds what each Horner product drops
+    above its own truncation d (D - m for row m when X(0,0) = 0, else D);
+    terms above degree d are never formed.
     """
 
     __slots__ = ("coeffs", "trunc_total", "tail")
@@ -558,16 +560,25 @@ class CrownSeries:
     # -- evaluation --------------------------------------------------------------
 
     def eval(self, xi, eta):
-        """Pointwise evaluation (vectorized over matching array arguments)."""
+        """Pointwise evaluation (vectorized over broadcastable array arguments).
+
+        Horner in eta runs over every row a[m, :] at once, then Horner in xi
+        over the rows.  Row m starts from zero at its top degree n = D - m,
+        so each value has the bits of a row-by-row nested Horner loop.
+        """
         xi = np.asarray(xi, dtype=np.complex128)
         eta = np.asarray(eta, dtype=np.complex128)
         D = self.trunc_total
-        out = np.zeros(np.broadcast(xi, eta).shape, dtype=np.complex128)
+        shape = np.broadcast(xi, eta).shape
+        rows = np.zeros((D + 1,) + shape, dtype=np.complex128)
+        lead = (slice(None),) + (None,) * len(shape)
+        for n in range(D, -1, -1):
+            active = rows[: D - n + 1]
+            active *= eta
+            active += self.coeffs[: D - n + 1, n][lead]
+        out = np.zeros(shape, dtype=np.complex128)
         for m in range(D, -1, -1):
-            row = np.zeros_like(out)
-            for n in range(D - m, -1, -1):
-                row = row * eta + self.coeffs[m, n]
-            out = out * xi + row
+            out = out * xi + rows[m]
         return out if out.shape else complex(out)
 
     # -- truncated-ring analytics -------------------------------------------------
@@ -704,27 +715,51 @@ def _powers(Y: CrownSeries) -> list[CrownSeries]:
     return out[: D + 1]
 
 
+def _resized(f: CrownSeries, d: int) -> CrownSeries:
+    """f at truncation d, keeping f's tail: cut to total degree d or zero-padded.
+
+    Degrees cut off are not counted in the tail: like the terms beyond the
+    square in ``multiply``, they are never formed by the caller.
+    """
+    if d == f.trunc_total:
+        return f
+    if d < f.trunc_total:
+        out = np.where(_triangle_mask(d + 1), f.coeffs[: d + 1, : d + 1], 0.0)
+    else:
+        out = np.zeros((d + 1, d + 1), dtype=np.complex128)
+        out[: f.trunc_total + 1, : f.trunc_total + 1] = f.coeffs
+    return CrownSeries._adopt(out, d, f.tail)
+
+
 def _horner(h: CrownSeries, X: CrownSeries, ypow: list[CrownSeries]) -> CrownSeries:
     """h(X, Y) = sum_m X^m row_m(Y) by Horner in X, given the powers of Y.
 
-    Each row_m = sum_n a_mn Y^n is summed as an array; its tail is
-    sum_n |a_mn| tail(Y^n).  As in a Horner scheme started from the zero
-    series, the result carries X's tail once per row.
+    When X(0,0) = 0, the accumulator of row m only reaches the result through
+    X^m, so it and its Horner product are formed at truncation d = D - m;
+    otherwise every row runs at d = D.  Each row_m = sum_n a_mn Y^n is summed
+    on the leading (d+1)^2 block.  The tail of the result is X's tail once per
+    row, as in a Horner scheme started from the zero series, plus
+    sum_mn |a_mn| tail(Y^n), plus the terms each Horner product drops above
+    its own degree d; terms above degree d are never formed.
     """
     D = h.trunc_total
     a = h.coeffs
+    shrink = int(X.coeffs[0, 0] == 0)
     acc = None
     for m in range(D, -1, -1):
-        row = np.zeros((D + 1, D + 1), dtype=np.complex128)
+        d = D - m * shrink
+        row = np.zeros((d + 1, d + 1), dtype=np.complex128)
         tail = 0.0
         for n in np.flatnonzero(a[m, : D - m + 1]):
-            row += ypow[n].coeffs * a[m, n]
+            row += ypow[n].coeffs[: d + 1, : d + 1] * a[m, n]
             tail += ypow[n].tail * abs(a[m, n])
+        if d < D:
+            row[~_triangle_mask(d + 1)] = 0.0
         if acc is None:
-            acc = CrownSeries._adopt(row, D, X.tail + tail)
+            acc = CrownSeries._adopt(row, d, X.tail + tail)
         else:
-            prod = multiply(acc, X)
-            acc = CrownSeries._adopt(prod.coeffs + row, D, prod.tail + tail)
+            prod = multiply(_resized(acc, d), _resized(X, d))
+            acc = CrownSeries._adopt(prod.coeffs + row, d, prod.tail + tail)
     return acc
 
 

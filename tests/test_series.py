@@ -566,3 +566,52 @@ def test_refinement_delta_reported():
     delta = f.norm_refinement_delta(np_)
     assert delta >= 0.0
     assert delta < f.crown_norm(np_)
+
+
+def nested_horner_eval(f: CrownSeries, xi, eta):
+    """Row-by-row Horner: eta inside each row a[m, :], then xi over the rows."""
+    xi = np.asarray(xi, dtype=np.complex128)
+    eta = np.asarray(eta, dtype=np.complex128)
+    D = f.trunc_total
+    out = np.zeros(np.broadcast(xi, eta).shape, dtype=np.complex128)
+    for m in range(D, -1, -1):
+        row = np.zeros_like(out)
+        for n in range(D - m, -1, -1):
+            row = row * eta + f.coeffs[m, n]
+        out = out * xi + row
+    return out if out.shape else complex(out)
+
+
+@pytest.mark.parametrize("D", [0, 1, 12, 36])
+def test_eval_has_the_bits_of_the_nested_loop(D):
+    rng = np.random.default_rng(50 + D)
+    m, n = np.indices((D + 1, D + 1))
+    c = rng.standard_normal((D + 1, D + 1)) + 1j * rng.standard_normal((D + 1, D + 1))
+    c *= 2.0 ** -(m + n).astype(float)
+    # exact zeros inside the triangle, and real and imaginary coefficients,
+    # so that signed zeros reach the sums
+    c[rng.random((D + 1, D + 1)) < 0.2] = 0.0
+    c[rng.random((D + 1, D + 1)) < 0.2] = 1.0
+    c[rng.random((D + 1, D + 1)) < 0.2] = 0.5j
+    f = CrownSeries(c, D)
+
+    def pts(*shape):
+        return 0.5 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+    inputs = [
+        (complex(pts(1)[0]), complex(pts(1)[0])),
+        (0.0, -0.0),
+        (-0.0, -0.0),
+        (pts(9), pts(9)),
+        (pts(3, 4), pts(3, 4)),
+        (pts(3, 1), pts(1, 4)),
+        (pts(5), 0.25),
+    ]
+    # the negated zero series at (-0, -0) is the input on which a Horner
+    # that starts every row at n = D gives +0 where the nested loop gives -0
+    for g in (f, -f, f.conj(), -CrownSeries.zero(D)):
+        for xi, eta in inputs:
+            got, want = g.eval(xi, eta), nested_horner_eval(g, xi, eta)
+            assert type(got) is type(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    assert type(f.eval(0.1, 0.2)) is complex

@@ -6,8 +6,10 @@ mpmath at 50 significant digits from the same double-precision inputs, so
 the only difference left is the kernel's own rounding.  A product
 coefficient is a sum of at most (D+1)^2 complex products, which bounds its
 error by 2(D+1)^2 eps times the same coefficient of |f| * |g|.  The
-inverters are checked against both composition orders, against the
-fixed-point iteration they replaced, and by their pass count.
+order-truncated composition is checked against the full-degree Horner it
+replaced, by its tail and by the degrees of its products.  The inverters
+are checked against both composition orders, against the fixed-point
+iteration they replaced, and by their pass count.
 """
 
 import mpmath
@@ -192,6 +194,84 @@ def test_substitute_tail_bookkeeping():
         power = multiply(power, Y)
     assert X.tail > 0.0 and Y.tail > 0.0
     assert CrownSeries(h, D).substitute(X, Y).tail == pytest.approx(want, rel=1e-12)
+
+
+def test_truncated_composition_tail():
+    # X = xi exactly: each Horner product shifts its accumulator by one degree
+    # inside its own truncation and drops nothing, so the tail is
+    # sum_mn |a_mn| tail(Y^n); a full-degree product would drop the top degree
+    D = 10
+    rng = np.random.default_rng(12)
+    h = decaying(rng, D)
+    xi, eta = identity_pair(D)
+    Y = eta + CrownSeries(decaying(rng, D, 0.5, 2), D)
+    power, want = CrownSeries.constant(1.0, D), 0.0
+    for n in range(D + 1):
+        want += float(np.sum(np.abs(h[:, n]))) * power.tail
+        power = multiply(power, Y)
+    assert want > 0.0
+    assert CrownSeries(h, D).substitute(xi, Y).tail == pytest.approx(want, rel=1e-12)
+
+
+def full_degree_substitute(h: CrownSeries, X: CrownSeries, Y: CrownSeries) -> CrownSeries:
+    """h(X, Y) by Horner in X with every accumulator at the full degree D."""
+    D = h.trunc_total
+    a = h.coeffs
+    ypow = [CrownSeries.constant(1.0, D), Y]
+    for _ in range(D - 1):
+        ypow.append(multiply(ypow[-1], Y))
+    acc = None
+    for m in range(D, -1, -1):
+        row = np.zeros((D + 1, D + 1), dtype=np.complex128)
+        tail = 0.0
+        for n in np.flatnonzero(a[m, : D - m + 1]):
+            row += ypow[n].coeffs * a[m, n]
+            tail += ypow[n].tail * abs(a[m, n])
+        if acc is None:
+            acc = CrownSeries(row, D, X.tail + tail)
+        else:
+            prod = multiply(acc, X)
+            acc = CrownSeries(prod.coeffs + row, D, prod.tail + tail)
+    return acc
+
+
+@PROPERTY
+@given(D=st.integers(1, 14), seed=st.integers(0, 2**32 - 1), x00=st.sampled_from([0.0, 0.05]))
+def test_truncated_composition_matches_full_degree_horner(D, seed, x00):
+    rng = np.random.default_rng(seed)
+    F = (CrownSeries(decaying(rng, D), D), CrownSeries(decaying(rng, D), D))
+    xi, eta = identity_pair(D)
+    X = xi + CrownSeries(decaying(rng, D, 0.1, 1), D) + x00
+    Y = eta + CrownSeries(decaying(rng, D, 0.1), D)
+    pair = substitute_pair(F, (X, Y))
+    for k in range(2):
+        ref = full_degree_substitute(F[k], X, Y)
+        for got in (F[k].substitute(X, Y), pair[k]):
+            if x00 == 0.0:
+                assert np.all(np.abs(got.coeffs - ref.coeffs) <= substitution_bound(F[k], X, Y))
+            else:
+                # every row runs at degree D: the full-degree arithmetic
+                assert got.coeffs.tobytes() == ref.coeffs.tobytes()
+                assert got.tail == ref.tail
+
+
+def test_truncated_composition_work(monkeypatch):
+    # with X(0,0) = 0 the Horner product feeding row m runs at degree D - m
+    degrees = []
+
+    def recorded(f, g):
+        degrees.append(f.trunc_total)
+        return multiply(f, g)
+
+    D = 24
+    rng = np.random.default_rng(11)
+    h = CrownSeries(decaying(rng, D), D)
+    xi, eta = identity_pair(D)
+    X = xi + CrownSeries(decaying(rng, D, 0.1, 2), D)
+    Y = eta + CrownSeries(decaying(rng, D, 0.1, 2), D)
+    monkeypatch.setattr(series, "multiply", recorded)
+    h.substitute(X, Y)
+    assert degrees == [D] * (D - 1) + list(range(1, D + 1))
 
 
 @pytest.mark.parametrize("beta", [0.05, 0.0])
