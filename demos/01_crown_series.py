@@ -41,8 +41,3 @@ rot = rotation_factor(alpha, 0.5, D)
 rot_inv = rotation_factor(alpha, -0.5, D)
 prod = multiply(rot, rot_inv)
 print(f"  max |e^(i a/2) e^(-i a/2) - 1| coefficient: {(prod - 1.0).max_abs_coeff():.2e}")
-
-print("\n== sampling refinement of the sup approximation ==")
-coarse = CrownNormParams(0.004, 0.0006, 0.1, boundary_samples=16)
-print(f"  norm @16 samples: {f.crown_norm(coarse):.12f}")
-print(f"  refinement delta when doubling samples: {f.norm_refinement_delta(coarse):.3e}")

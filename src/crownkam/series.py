@@ -16,8 +16,13 @@ and the weighted norm used by the iteration is
 
     ||f||_{omega,beta,r} = sum_{l*j=0} |f_lj|_{omega,beta} r^(l+j),
 
-where |h|_{omega,beta} is the sup of |h| over the disk |z - omega| <= beta,
-approximated here by sampling the boundary circle (maximum modulus).
+where |h|_{omega,beta} is the sup of |h| over the disk |z - omega| <= beta.
+By the maximum-modulus principle that sup is attained on the circle
+|z - omega| = beta; ``crown_norm`` samples ``boundary_samples`` points of it,
+so the value it returns is a lower estimate of the true norm, not a bound.
+
+Truncation drops every term above total degree D and keeps no record of
+what it dropped.
 
 All values are immutable after construction; operations return new objects.
 """
@@ -319,24 +324,11 @@ def _crown_index(D: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 class CrownSeries:
-    """Dense triangular bivariate series sum a[m,n] xi^m eta^n, m+n <= D.
+    """Dense triangular bivariate series sum a[m,n] xi^m eta^n, m+n <= D."""
 
-    ``tail`` is bookkeeping only and is not propagated rigorously.  It holds
-    the 1-norm of the coefficients dropped when a result was truncated to
-    total degree D: for a product, the terms that land inside the (D+1)^2
-    square above the triangle (terms beyond the square are never formed);
-    for the public constructor, the above-triangle entries of its input;
-    for ``from_z_series``, the z-coefficients beyond D//2.  Sums add the
-    operands' tails, and scalar multiples scale the tail by |c|.  A
-    substitution h(X, Y) carries X's tail once per row of h, adds |a_mn|
-    tail(Y^n) per coefficient of h, and adds what each Horner product drops
-    above its own truncation d (D - m for row m when X(0,0) = 0, else D);
-    terms above degree d are never formed.
-    """
+    __slots__ = ("coeffs", "trunc_total")
 
-    __slots__ = ("coeffs", "trunc_total", "tail")
-
-    def __init__(self, coeffs, trunc_total: int | None = None, tail: float = 0.0):
+    def __init__(self, coeffs, trunc_total: int | None = None):
         c = np.asarray(coeffs, dtype=np.complex128)
         if c.ndim != 2 or c.shape[0] != c.shape[1]:
             raise SeriesError("CrownSeries needs a square 2-d coefficient array")
@@ -344,16 +336,13 @@ class CrownSeries:
         if c.shape[0] != D + 1:
             raise SeriesError("coefficient array does not match trunc_total")
         c = c.copy()
-        mask = _triangle_mask(D + 1)
-        dropped = float(np.sum(np.abs(c[~mask])))
-        c[~mask] = 0.0
+        c[~_triangle_mask(D + 1)] = 0.0
         c.setflags(write=False)
         self.coeffs = c
         self.trunc_total = D
-        self.tail = tail + dropped
 
     @classmethod
-    def _adopt(cls, coeffs: np.ndarray, D: int, tail: float) -> "CrownSeries":
+    def _adopt(cls, coeffs: np.ndarray, D: int) -> "CrownSeries":
         """Wrap a freshly computed, already triangular array without copying.
 
         The caller hands over ownership: nothing else may hold ``coeffs``.
@@ -362,7 +351,6 @@ class CrownSeries:
         obj = cls.__new__(cls)
         obj.coeffs = coeffs
         obj.trunc_total = D
-        obj.tail = tail
         return obj
 
     # -- constructors ------------------------------------------------------
@@ -400,8 +388,7 @@ class CrownSeries:
         kmax = min(h.trunc_z, D // 2)
         for k in range(kmax + 1):
             c[k, k] = h.coeffs[k]
-        tail = float(np.sum(np.abs(h.coeffs[kmax + 1 :])))
-        return CrownSeries(c, D, tail=tail)
+        return CrownSeries(c, D)
 
     # -- queries -------------------------------------------------------------
 
@@ -443,36 +430,36 @@ class CrownSeries:
     def __add__(self, other):
         if isinstance(other, CrownSeries):
             D = self._matched(other)
-            return CrownSeries._adopt(self.coeffs + other.coeffs, D, self.tail + other.tail)
+            return CrownSeries._adopt(self.coeffs + other.coeffs, D)
         c = self.coeffs.copy()
         c[0, 0] += other
-        return CrownSeries._adopt(c, self.trunc_total, self.tail)
+        return CrownSeries._adopt(c, self.trunc_total)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, CrownSeries):
             D = self._matched(other)
-            return CrownSeries._adopt(self.coeffs - other.coeffs, D, self.tail + other.tail)
+            return CrownSeries._adopt(self.coeffs - other.coeffs, D)
         return self + (-other)
 
     def __neg__(self):
-        return CrownSeries._adopt(-self.coeffs, self.trunc_total, self.tail)
+        return CrownSeries._adopt(-self.coeffs, self.trunc_total)
 
     def __mul__(self, other):
         if isinstance(other, CrownSeries):
             return multiply(self, other)
-        return CrownSeries._adopt(self.coeffs * other, self.trunc_total, self.tail * abs(other))
+        return CrownSeries._adopt(self.coeffs * other, self.trunc_total)
 
     __rmul__ = __mul__
 
     def conj(self) -> "CrownSeries":
         """Coefficientwise conjugate; realizes rho-conjugation of maps."""
-        return CrownSeries._adopt(np.conj(self.coeffs), self.trunc_total, self.tail)
+        return CrownSeries._adopt(np.conj(self.coeffs), self.trunc_total)
 
     def swap(self) -> "CrownSeries":
         """f(eta, xi): transpose of the coefficient array."""
-        return CrownSeries._adopt(self.coeffs.T.copy(), self.trunc_total, self.tail)
+        return CrownSeries._adopt(self.coeffs.T.copy(), self.trunc_total)
 
     # -- crown decomposition ---------------------------------------------------
 
@@ -509,7 +496,8 @@ class CrownSeries:
     # -- norms -----------------------------------------------------------------
 
     def crown_norm(self, np_: CrownNormParams) -> float:
-        """||f||_{omega,beta,r} with disk sups sampled on the boundary circle."""
+        """||f||_{omega,beta,r}, each disk sup sampled at ``boundary_samples``
+        points of |z - omega| = beta: a lower estimate of the true norm."""
         if abs(np_.omega) >= np_.radius**2 - np_.beta:
             raise SeriesError(
                 f"empty crown: |omega| = {abs(np_.omega):.3g} >= r^2 - beta = "
@@ -538,17 +526,6 @@ class CrownSeries:
             if m != 0.0:
                 total += m * rpow[d]
         return total
-
-    def norm_refinement_delta(self, np_: CrownNormParams) -> float:
-        """Difference of the norm when boundary sampling is doubled.
-
-        The sampling approximation has no error bound here; this reports the
-        observed refinement delta instead.
-        """
-        finer = CrownNormParams(
-            np_.omega, np_.beta, np_.radius, 2 * np_.boundary_samples
-        )
-        return abs(self.crown_norm(finer) - self.crown_norm(np_))
 
     def full_norm(self, r: float) -> float:
         """|f|_r = sum |a[m,n]| r^(m+n) (plain weighted 1-norm)."""
@@ -621,7 +598,7 @@ class CrownSeries:
         return self.log().exp(0.5)
 
     def partial(self, var: int) -> "CrownSeries":
-        """Partial derivative in xi (var = 0) or eta (var = 1); keeps the tail."""
+        """Partial derivative in xi (var = 0) or eta (var = 1)."""
         D = self.trunc_total
         c = np.zeros((D + 1, D + 1), dtype=np.complex128)
         k = np.arange(1, D + 1)
@@ -631,7 +608,7 @@ class CrownSeries:
             c[:, :D] = self.coeffs[:, 1:] * k[None, :]
         else:
             raise SeriesError("partial derivative needs var 0 (xi) or 1 (eta)")
-        return CrownSeries._adopt(c, D, self.tail)
+        return CrownSeries._adopt(c, D)
 
     def substitute(self, X: "CrownSeries", Y: "CrownSeries") -> "CrownSeries":
         """h(X(xi,eta), Y(xi,eta)) in the truncated ring (Horner in both slots)."""
@@ -690,7 +667,7 @@ def multiply(f: CrownSeries, g: CrownSeries) -> CrownSeries:
     f[:, n] is the lower-triangular Toeplitz block T[p, q] = f[p - q, n], a
     strided view of a zero-padded copy of f; one matrix product with
     g[:, :D+1-n] adds that column's share to out[:, n:].  The terms this
-    forms above the triangle are zeroed and their 1-norm goes to ``tail``.
+    forms above the triangle are zeroed.
     """
     D = f._matched(g)
     size = D + 1
@@ -700,10 +677,8 @@ def multiply(f: CrownSeries, g: CrownSeries) -> CrownSeries:
     out = np.zeros((size, size), dtype=np.complex128)
     for n in np.flatnonzero(f.coeffs.any(axis=0)):
         out[:, n:] += toeplitz[:, n, :] @ g.coeffs[:, : size - n]
-    above = ~_triangle_mask(size)
-    dropped = float(np.sum(np.abs(out[above])))
-    out[above] = 0.0
-    return CrownSeries._adopt(out, D, f.tail + g.tail + dropped)
+    out[~_triangle_mask(size)] = 0.0
+    return CrownSeries._adopt(out, D)
 
 
 def _powers(Y: CrownSeries) -> list[CrownSeries]:
@@ -716,11 +691,7 @@ def _powers(Y: CrownSeries) -> list[CrownSeries]:
 
 
 def _resized(f: CrownSeries, d: int) -> CrownSeries:
-    """f at truncation d, keeping f's tail: cut to total degree d or zero-padded.
-
-    Degrees cut off are not counted in the tail: like the terms beyond the
-    square in ``multiply``, they are never formed by the caller.
-    """
+    """f at truncation d: cut to total degree d or zero-padded."""
     if d == f.trunc_total:
         return f
     if d < f.trunc_total:
@@ -728,7 +699,7 @@ def _resized(f: CrownSeries, d: int) -> CrownSeries:
     else:
         out = np.zeros((d + 1, d + 1), dtype=np.complex128)
         out[: f.trunc_total + 1, : f.trunc_total + 1] = f.coeffs
-    return CrownSeries._adopt(out, d, f.tail)
+    return CrownSeries._adopt(out, d)
 
 
 def _horner(h: CrownSeries, X: CrownSeries, ypow: list[CrownSeries]) -> CrownSeries:
@@ -737,10 +708,7 @@ def _horner(h: CrownSeries, X: CrownSeries, ypow: list[CrownSeries]) -> CrownSer
     When X(0,0) = 0, the accumulator of row m only reaches the result through
     X^m, so it and its Horner product are formed at truncation d = D - m;
     otherwise every row runs at d = D.  Each row_m = sum_n a_mn Y^n is summed
-    on the leading (d+1)^2 block.  The tail of the result is X's tail once per
-    row, as in a Horner scheme started from the zero series, plus
-    sum_mn |a_mn| tail(Y^n), plus the terms each Horner product drops above
-    its own degree d; terms above degree d are never formed.
+    on the leading (d+1)^2 block; terms above degree d are never formed.
     """
     D = h.trunc_total
     a = h.coeffs
@@ -749,17 +717,15 @@ def _horner(h: CrownSeries, X: CrownSeries, ypow: list[CrownSeries]) -> CrownSer
     for m in range(D, -1, -1):
         d = D - m * shrink
         row = np.zeros((d + 1, d + 1), dtype=np.complex128)
-        tail = 0.0
         for n in np.flatnonzero(a[m, : D - m + 1]):
             row += ypow[n].coeffs[: d + 1, : d + 1] * a[m, n]
-            tail += ypow[n].tail * abs(a[m, n])
         if d < D:
             row[~_triangle_mask(d + 1)] = 0.0
         if acc is None:
-            acc = CrownSeries._adopt(row, d, X.tail + tail)
+            acc = CrownSeries._adopt(row, d)
         else:
             prod = multiply(_resized(acc, d), _resized(X, d))
-            acc = CrownSeries._adopt(prod.coeffs + row, d, prod.tail + tail)
+            acc = CrownSeries._adopt(prod.coeffs + row, d)
     return acc
 
 
@@ -867,8 +833,6 @@ def _newton_inverse(
     invertible linear part.  It stops when the largest coefficient of a step
     is below ``tol`` times max(1, largest coefficient of V): a step cannot
     fall below the rounding of the terms that form E, which grows with V.
-    V carries the tail of its pass's composition Uo(Id+V), the tail the
-    fixed-point iteration V <- -Uo(Id+V) would give.
     """
     D = U[0]._matched(V[0])
     xi, eta = identity_pair(D)
@@ -879,10 +843,7 @@ def _newton_inverse(
             e + multiply(v.partial(0), e0) + multiply(v.partial(1), e1)
             for v, e in zip(V, (e0, e1))
         ]
-        V = tuple(
-            CrownSeries._adopt(v.coeffs - s.coeffs, D, w.tail)
-            for v, s, w in zip(V, step, W)
-        )
+        V = (V[0] - step[0], V[1] - step[1])
         size = max(1.0, V[0].max_abs_coeff(), V[1].max_abs_coeff())
         if max(step[0].max_abs_coeff(), step[1].max_abs_coeff()) < tol * size:
             return V

@@ -390,7 +390,6 @@ def test_principal_part_is_the_inline_product():
         )
         for g, w in zip(got, want):
             assert g.coeffs.tobytes() == w.coeffs.tobytes()
-            assert g.tail == w.tail
 
 
 def test_compose_rotated_preserves_product_functions():
@@ -557,15 +556,6 @@ def test_json_roundtrip_coeff():
     h = CoeffSeries(np.array([1.0 + 2j, 0.5, -0.25j]))
     back = CoeffSeries.from_json(h.to_json())
     np.testing.assert_allclose(back.coeffs, h.coeffs, atol=1e-16)
-
-
-def test_refinement_delta_reported():
-    rng = np.random.default_rng(47)
-    f = random_crown(rng, 6)
-    np_ = CrownNormParams(0.002, 0.0005, 0.1, boundary_samples=16)
-    delta = f.norm_refinement_delta(np_)
-    assert delta >= 0.0
-    assert delta < f.crown_norm(np_)
 
 
 def nested_horner_eval(f: CrownSeries, xi, eta):

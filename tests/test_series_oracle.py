@@ -7,7 +7,7 @@ the only difference left is the kernel's own rounding.  A product
 coefficient is a sum of at most (D+1)^2 complex products, which bounds its
 error by 2(D+1)^2 eps times the same coefficient of |f| * |g|.  The
 order-truncated composition is checked against the full-degree Horner it
-replaced, by its tail and by the degrees of its products.  The inverters
+replaced, by its coefficients and by the degrees of its products.  The inverters
 are checked against both composition orders, against the fixed-point
 iteration they replaced, and by their pass count.
 """
@@ -62,8 +62,8 @@ def mp_series(c: np.ndarray) -> list:
     return [[mpmath.mpc(complex(x)) for x in row] for row in c]
 
 
-def mp_multiply(a: list, b: list, D: int) -> tuple[list, mpmath.mpf]:
-    """Truncated product and the 1-norm of its in-square terms above the triangle."""
+def mp_multiply(a: list, b: list, D: int) -> list:
+    """Truncated product: the in-square terms above the triangle are zeroed."""
     out = [[mpmath.mpc(0)] * (D + 1) for _ in range(D + 1)]
     for m in range(D + 1):
         for n in range(D + 1 - m):
@@ -74,12 +74,10 @@ def mp_multiply(a: list, b: list, D: int) -> tuple[list, mpmath.mpf]:
                 row, bp = out[m + p], b[p]
                 for q in range(min(D + 1 - p, D + 1 - n)):
                     row[n + q] += x * bp[q]
-    dropped = mpmath.mpf(0)
     for m in range(D + 1):
         for n in range(D + 1 - m, D + 1):
-            dropped += abs(out[m][n])
             out[m][n] = mpmath.mpc(0)
-    return out, dropped
+    return out
 
 
 def mp_substitute(h: np.ndarray, X: list, Y: list, D: int) -> list:
@@ -87,8 +85,8 @@ def mp_substitute(h: np.ndarray, X: list, Y: list, D: int) -> list:
     one = [[mpmath.mpc(1 if (m, n) == (0, 0) else 0) for n in range(D + 1)] for m in range(D + 1)]
     ypow, xpow = [one], [one]
     for _ in range(D):
-        ypow.append(mp_multiply(ypow[-1], Y, D)[0])
-        xpow.append(mp_multiply(xpow[-1], X, D)[0])
+        ypow.append(mp_multiply(ypow[-1], Y, D))
+        xpow.append(mp_multiply(xpow[-1], X, D))
     out = [[mpmath.mpc(0)] * (D + 1) for _ in range(D + 1)]
     for m in range(D + 1):
         row = [[mpmath.mpc(0)] * (D + 1) for _ in range(D + 1)]
@@ -98,7 +96,7 @@ def mp_substitute(h: np.ndarray, X: list, Y: list, D: int) -> list:
                 for i in range(D + 1):
                     for j in range(D + 1 - i):
                         row[i][j] += a * ypow[n][i][j]
-        term = mp_multiply(xpow[m], row, D)[0]
+        term = mp_multiply(xpow[m], row, D)
         for i in range(D + 1):
             for j in range(D + 1 - i):
                 out[i][j] += term[i][j]
@@ -132,18 +130,14 @@ def substitution_bound(h: CrownSeries, X: CrownSeries, Y: CrownSeries) -> np.nda
 def test_multiply_matches_oracle(D):
     mpmath.mp.dps = DIGITS
     rng = np.random.default_rng(100 + D)
-    # entries above the triangle give the operands a nonzero tail
+    # the constructor zeroes the entries given above the triangle
     above = ~_triangle_mask(D + 1)
     f = CrownSeries(decaying(rng, D) + 1e-3 * above, D)
     g = CrownSeries(decaying(rng, D), D)
-    assert f.tail > 0.0
+    assert not np.any(f.coeffs[above])
     got = multiply(f, g)
-    ref, dropped = mp_multiply(mp_series(f.coeffs), mp_series(g.coeffs), D)
-    bound = product_bound(f, g)
-    assert np.all(np.abs(got.coeffs - to_complex(ref)) <= bound)
-    # tail: the operands' tails plus the in-square terms above the triangle
-    want = f.tail + g.tail + float(dropped)
-    assert abs(got.tail - want) <= float(np.sum(bound[above])) + 4 * (D + 1) ** 2 * EPS * want
+    ref = mp_multiply(mp_series(f.coeffs), mp_series(g.coeffs), D)
+    assert np.all(np.abs(got.coeffs - to_complex(ref)) <= product_bound(f, g))
 
 
 def test_substitute_matches_oracle():
@@ -174,43 +168,6 @@ def test_substitute_pair_matches_oracle():
         # the shared powers of Y give the same result as a lone substitution
         alone = F[k].substitute(*G)
         assert np.array_equal(got[k].coeffs, alone.coeffs)
-        assert got[k].tail == alone.tail
-
-
-def test_substitute_tail_bookkeeping():
-    # h(eta) only: every Horner product multiplies the zero series, so the
-    # tail is X's tail once per row plus sum_n |a_0n| tail(Y^n)
-    D = 8
-    rng = np.random.default_rng(10)
-    above = ~_triangle_mask(D + 1)
-    h = np.zeros((D + 1, D + 1), dtype=np.complex128)
-    h[0] = decaying(rng, D)[0]
-    xi, eta = identity_pair(D)
-    X = xi + CrownSeries(1e-3 * above, D)
-    Y = eta + CrownSeries(decaying(rng, D, 0.1, 2) + 2e-3 * above, D)
-    power, want = CrownSeries.constant(1.0, D), (D + 1) * X.tail
-    for n in range(D + 1):
-        want += abs(h[0, n]) * power.tail
-        power = multiply(power, Y)
-    assert X.tail > 0.0 and Y.tail > 0.0
-    assert CrownSeries(h, D).substitute(X, Y).tail == pytest.approx(want, rel=1e-12)
-
-
-def test_truncated_composition_tail():
-    # X = xi exactly: each Horner product shifts its accumulator by one degree
-    # inside its own truncation and drops nothing, so the tail is
-    # sum_mn |a_mn| tail(Y^n); a full-degree product would drop the top degree
-    D = 10
-    rng = np.random.default_rng(12)
-    h = decaying(rng, D)
-    xi, eta = identity_pair(D)
-    Y = eta + CrownSeries(decaying(rng, D, 0.5, 2), D)
-    power, want = CrownSeries.constant(1.0, D), 0.0
-    for n in range(D + 1):
-        want += float(np.sum(np.abs(h[:, n]))) * power.tail
-        power = multiply(power, Y)
-    assert want > 0.0
-    assert CrownSeries(h, D).substitute(xi, Y).tail == pytest.approx(want, rel=1e-12)
 
 
 def full_degree_substitute(h: CrownSeries, X: CrownSeries, Y: CrownSeries) -> CrownSeries:
@@ -223,15 +180,12 @@ def full_degree_substitute(h: CrownSeries, X: CrownSeries, Y: CrownSeries) -> Cr
     acc = None
     for m in range(D, -1, -1):
         row = np.zeros((D + 1, D + 1), dtype=np.complex128)
-        tail = 0.0
         for n in np.flatnonzero(a[m, : D - m + 1]):
             row += ypow[n].coeffs * a[m, n]
-            tail += ypow[n].tail * abs(a[m, n])
         if acc is None:
-            acc = CrownSeries(row, D, X.tail + tail)
+            acc = CrownSeries(row, D)
         else:
-            prod = multiply(acc, X)
-            acc = CrownSeries(prod.coeffs + row, D, prod.tail + tail)
+            acc = CrownSeries(multiply(acc, X).coeffs + row, D)
     return acc
 
 
@@ -252,7 +206,6 @@ def test_truncated_composition_matches_full_degree_horner(D, seed, x00):
             else:
                 # every row runs at degree D: the full-degree arithmetic
                 assert got.coeffs.tobytes() == ref.coeffs.tobytes()
-                assert got.tail == ref.tail
 
 
 def test_truncated_composition_work(monkeypatch):
@@ -427,7 +380,7 @@ def mp_power_sum(g: list, weights: list, D: int) -> list:
     term = mp_series(unit)
     acc = [[weights[0] * x for x in row] for row in term]
     for w in weights[1:]:
-        term = mp_multiply(term, g, D)[0]
+        term = mp_multiply(term, g, D)
         acc = [[x + w * y for x, y in zip(r, t)] for r, t in zip(acc, term)]
     return acc
 
