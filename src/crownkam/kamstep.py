@@ -22,6 +22,7 @@ from .series import (
     CrownSeries,
     MapPair,
     SeriesError,
+    _circle,
     invert_near_identity,
     multiply,
     principal_part,
@@ -40,6 +41,10 @@ class StepGeometry:
     to hold (unavoidable at desk eps), they are capped at beta/2 and beta/4
     so the ordering survives.  K is real-valued; index cutoffs use the
     truncation-capped floor.
+
+    Every sampled sup runs over ``window``, the omega samples with
+    |omega| < r^2 - beta, and ``boundary_samples`` points of each circle; an
+    empty window raises, so no check passes with nothing measured.
     """
 
     r: float
@@ -83,32 +88,24 @@ class StepGeometry:
     def K_cut(self, D: int) -> int:
         return int(min(np.floor(self.K_formula), D))
 
-    def sup_norm(self, f: CrownSeries, beta: float, r: float) -> float:
-        """sup over the omega samples of the crown norm at (beta, r)."""
-        worst = 0.0
-        seen = False
-        for w in self.omega_samples:
-            if abs(w) >= r * r - beta:
-                continue
-            seen = True
-            worst = max(
-                worst,
-                f.crown_norm(CrownNormParams(float(w), beta, r, self.boundary_samples)),
-            )
-        if not seen:
-            raise SeriesError(
-                f"no omega sample lies in the window |omega| < r^2 - beta = {r * r - beta:.3g}"
-            )
-        return worst
+    def window(self, beta: float, r: float) -> tuple[float, ...]:
+        """The omega samples with |omega| < r^2 - beta; raises when none are."""
+        lim = r**2 - beta
+        ws = tuple(float(w) for w in self.omega_samples if abs(w) < lim)
+        if not ws:
+            raise SeriesError(f"no omega sample in the window |omega| < r^2 - beta = {lim:.3g}")
+        return ws
 
-    def sup_coeff(self, h: CoeffSeries, beta: float, window: float) -> float:
-        """sup over samples (restricted to |omega| < window) of the disk max."""
-        worst = 0.0
-        for w in self.omega_samples:
-            if abs(w) >= window:
-                continue
-            worst = max(worst, h.disk_max(float(w), beta, self.boundary_samples))
-        return worst
+    def sup_norm(self, f: CrownSeries, beta: float, r: float) -> float:
+        """sup over the omega window of the crown norm at (beta, r)."""
+        return max(
+            f.crown_norm(CrownNormParams(w, beta, r, self.boundary_samples))
+            for w in self.window(beta, r)
+        )
+
+    def sup_coeff(self, h: CoeffSeries, beta: float, r: float) -> float:
+        """sup over the omega window at (beta, r) of the disk max of h."""
+        return max(h.disk_max(w, beta, self.boundary_samples) for w in self.window(beta, r))
 
 
 @dataclass
@@ -173,13 +170,21 @@ def divisor_minimum(
     even when every sampled omega is clear of it.
     """
     worst = np.inf
-    th = 2.0 * np.pi * np.arange(geom.boundary_samples) / geom.boundary_samples
     for w in tuple(geom.omega_samples) + (0.0,):
-        zs = w + beta * np.exp(1j * th) if beta > 0 else np.array([w + 0j])
-        avals = alpha.eval(zs)
+        avals = alpha.eval(_circle(w, beta, geom.boundary_samples))
         for n in range(1, n_max + 1):
             worst = min(worst, float(np.min(np.abs(np.exp(1j * n * avals) - 1.0))))
     return float(worst)
+
+
+def calibrate_delta(alpha: CoeffSeries, D: int, geom: StepGeometry, delta: float) -> float:
+    """delta lowered to 0.9 times the small-divisor floor on geom's samples.
+
+    The floor is the least |e^{i n alpha} - 1| over orders n <= K_cut(D) + 1
+    and the disks of radius beta~ around geom's omega samples and the origin.
+    """
+    floor = divisor_minimum(alpha, geom, geom.K_cut(D) + 1, geom.beta_tilde)
+    return min(delta, 0.9 * floor)
 
 
 def solve_cohomological(
@@ -319,13 +324,11 @@ def conjugate_step(
     D = t.trunc_total
     # invertibility needs room relative to the radii; the crown containment
     # itself is checked a posteriori (crown_escape_margin)
-    np_guard = _first_valid_params(geom, geom.beta_tilde, geom.r7)
-    if np_guard is not None:
-        u_size = uv[0].crown_norm(np_guard) + uv[1].crown_norm(np_guard)
-        if u_size >= (geom.r7 - geom.r_plus) / 8.0:
-            raise SeriesError(
-                f"conjugating map too large to invert: ||U|| = {u_size:.3g}"
-            )
+    w = geom.window(geom.beta_tilde, geom.r7)[0]
+    np_guard = CrownNormParams(w, geom.beta_tilde, geom.r7, geom.boundary_samples)
+    u_size = uv[0].crown_norm(np_guard) + uv[1].crown_norm(np_guard)
+    if u_size >= (geom.r7 - geom.r_plus) / 8.0:
+        raise SeriesError(f"conjugating map too large to invert: ||U|| = {u_size:.3g}")
     phi_inv_tail = invert_near_identity(uv)
     phi = poly_link_from_U(uv, phi_inv_tail, label="cohomological")
     T = t.components()
@@ -343,23 +346,16 @@ def conjugate_step(
     return IntermediatePair(t.alpha, A, p_t, q_t, phi)
 
 
-def _first_valid_params(geom: StepGeometry, beta: float, r: float):
-    for w in geom.omega_samples:
-        if abs(w) < r * r - beta:
-            return CrownNormParams(float(w), beta, r, geom.boundary_samples)
-    return None
-
-
 def crown_escape_margin(
     phi: PolyLink, geom: StepGeometry, n_boundary: int = 24
 ) -> float:
     """How far phi(C^{r+}_{omega,beta+}) stays inside C^{r}_{omega,beta}.
 
-    Samples boundary points of the smaller crown; returns the worst margin
-    (positive = contained).
+    Samples boundary points of the smaller crown over the omega window at
+    (beta+, r+); returns the worst margin (positive = contained).
     """
     hi = geom.r_plus * 0.98
-    ws = np.array([w for w in geom.omega_samples if abs(w) < geom.r_plus**2 - geom.beta_plus])
+    ws = np.array(geom.window(geom.beta_plus, geom.r_plus))
     boundary = np.exp(1j * np.linspace(0, 2 * np.pi, 6, endpoint=False))
     turns = np.exp(1j * np.linspace(0, 2 * np.pi, n_boundary, endpoint=False))
     # grid axes: omega, boundary point, modulus, argument
@@ -369,9 +365,8 @@ def crown_escape_margin(
     x = mods[..., None] * turns
     y = z[..., None, None] / x
     w = np.broadcast_to(ws[:, None, None, None], x.shape)
+    # never empty: |z| < r+^2 in the window, so |x| = |y| = sqrt|z| is inside
     inside = (np.abs(x) < geom.r_plus) & (np.abs(y) < geom.r_plus)
-    if not inside.any():
-        return float(np.inf)
     X, Y = phi.apply_point(x[inside], y[inside])
     return float(min(
         np.min(geom.beta - np.abs(X * Y - w[inside])),
@@ -393,7 +388,7 @@ def theta_scaling(
     Dz = D // 2
     alpha = inter.alpha.truncate(Dz)
     A = inter.A.truncate(Dz)
-    norm_A = geom.sup_coeff(A, geom.beta, geom.r**2 - geom.beta)
+    norm_A = geom.sup_coeff(A, geom.beta, geom.r)
     if norm_A >= 1.0 / 16.0:
         raise SeriesError(f"scaling precondition ||A|| = {norm_A:.3g} >= 1/16")
     r_cond = 4.0 * (geom.r_tilde - geom.r_plus) / (3.0 * geom.r_plus)
@@ -451,9 +446,10 @@ def main_step(
     q_norm = geom.sup_norm(t.q, geom.beta, geom.r)
     report.add("p_norm_in", p_norm, eps / 10.0)
     report.add("q_norm_in", q_norm, eps / 10.0)
-    np_check = _first_valid_params(geom, geom.beta, geom.r)
-    if np_check is not None:
-        report.add("involution_residual_in", t.involution_residual(np_check), 1e-9)
+    np_check = CrownNormParams(
+        geom.window(geom.beta, geom.r)[0], geom.beta, geom.r, geom.boundary_samples
+    )
+    report.add("involution_residual_in", t.involution_residual(np_check), 1e-9)
 
     pK, qK, tail = stage(
         "truncate", lambda: truncate_K(t.p, t.q, geom.K_cut(D), geom)
@@ -517,7 +513,7 @@ def main_step(
         if k > 0:
             fact *= k
         h = (t_plus.alpha - t.alpha).derivative(k)
-        measured = geom.sup_coeff(h, geom.beta_plus, geom.r_plus**2 - geom.beta_plus)
+        measured = geom.sup_coeff(h, geom.beta_plus, geom.r_plus)
         report.add(f"alpha_diff_k{k}", measured, eps ** (1 / 3) / 10.0)
         report.add(
             f"alpha_diff_cauchy_k{k}",
@@ -531,8 +527,8 @@ def main_step(
         dev = CoeffSeries(base.coeffs - np.eye(1, base.trunc_z + 1, 0)[0])
         report.add(
             f"theta_pow{kpow}_dev",
-            geom.sup_coeff(dev, geom.beta_plus, geom.r_plus**2 - geom.beta_plus),
-            0.75 * abs(kpow) * max(geom.sup_coeff(inter.A, geom.beta, geom.r**2 - geom.beta), 1e-300),
+            geom.sup_coeff(dev, geom.beta_plus, geom.r_plus),
+            0.75 * abs(kpow) * max(geom.sup_coeff(inter.A, geom.beta, geom.r), 1e-300),
         )
 
     report.practical["contraction"] = {

@@ -17,12 +17,12 @@ preliminary step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .involution import InvolutionPair, skew_term, split_pair
-from .kamstep import StepGeometry, divisor_minimum, main_step
+from .kamstep import StepGeometry, calibrate_delta, main_step
 from .series import (
     CoeffSeries,
     CrownSeries,
@@ -330,12 +330,10 @@ def _alpha_conditions(alpha: CoeffSeries, lam: float, s: int, r: float) -> dict:
 def _trial_contracts(prepared, A, r, beta, omegas, s, contraction_exponent):
     D = prepared.trunc_total
     geom0 = StepGeometry(r, 0.75 * r, beta, eps=A, delta=1.0, s=s, omega_samples=omegas)
-    K = geom0.K_cut(D)
-    dmin = divisor_minimum(prepared.alpha, geom0, K + 1, geom0.beta_tilde)
-    delta = min(100.0 * A ** (1.0 / (60.0 * s)), 0.9 * dmin)
+    delta = calibrate_delta(prepared.alpha, D, geom0, 100.0 * A ** (1.0 / (60.0 * s)))
     if delta <= 0:
         return False, None, "vanishing divisor"
-    geom = StepGeometry(r, 0.75 * r, beta, eps=A, delta=delta, s=s, omega_samples=omegas)
+    geom = replace(geom0, delta=delta)
     try:
         _, _, rep = main_step(prepared, geom)
     except SeriesError as e:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .involution import InvolutionPair, compose_sigma, skew_term
-from .kamstep import StepGeometry, divisor_minimum, main_step
+from .kamstep import StepGeometry, calibrate_delta, main_step
 from .moserwebster import (
     BishopSurface,
     DiagonalFrame,
@@ -184,16 +184,6 @@ def _measure_pair(pair, omegas, beta, r, ns=64) -> tuple[float, float]:
     eps = 10.0 * max(g.sup_norm(pair.p, beta, r), g.sup_norm(pair.q, beta, r))
     skew = g.sup_norm(skew_term(pair), beta, r)
     return eps, skew
-
-
-def calibrate_delta(alpha: CoeffSeries, D: int, geom: StepGeometry, delta: float) -> float:
-    """delta lowered to 0.9 times the small-divisor floor on geom's samples.
-
-    The floor is the least |e^{i n alpha} - 1| over orders n <= K_cut(D) + 1
-    and the disks of radius beta~ around geom's omega samples and the origin.
-    """
-    floor = divisor_minimum(alpha, geom, geom.K_cut(D) + 1, geom.beta_tilde)
-    return min(delta, 0.9 * floor)
 
 
 def prepare(config: RunConfig) -> tuple[KamState, dict]:

@@ -46,6 +46,15 @@ class SeriesError(ValueError):
     """Raised on malformed operands or violated preconditions."""
 
 
+def _circle(omega: float, beta: float, n: int) -> np.ndarray:
+    """n points of |z - omega| = beta, or omega alone when beta = 0: the
+    samples of every sampled disk sup."""
+    if beta == 0.0:
+        return np.array([omega], dtype=np.complex128)
+    th = 2.0 * np.pi * np.arange(n) / n
+    return omega + beta * np.exp(1j * th)
+
+
 # ---------------------------------------------------------------------------
 # univariate series in z = xi*eta
 # ---------------------------------------------------------------------------
@@ -184,11 +193,7 @@ class CoeffSeries:
 
         beta = 0 degenerates to evaluation at omega.
         """
-        if beta == 0.0:
-            return abs(self.eval(omega))
-        th = 2.0 * np.pi * np.arange(n_samples) / n_samples
-        zs = omega + beta * np.exp(1j * th)
-        return float(np.max(np.abs(self.eval(zs))))
+        return float(np.max(np.abs(self.eval(_circle(omega, beta, n_samples)))))
 
     def reciprocal(self) -> "CoeffSeries":
         c0 = self.coeffs[0]
@@ -255,7 +260,8 @@ class CoeffSeries:
 
 @dataclass(frozen=True)
 class CrownNormParams:
-    """Parameters (omega, beta, r) of the crown norm plus sampling density."""
+    """Parameters (omega, beta, r) of a nonempty crown, |omega| < r^2 - beta,
+    plus sampling density."""
 
     omega: float
     beta: float
@@ -269,18 +275,11 @@ class CrownNormParams:
             raise SeriesError("beta must be nonnegative")
         if self.boundary_samples < 8:
             raise SeriesError("boundary_samples must be >= 8")
-        if abs(self.omega) >= self.radius**2:
+        if abs(self.omega) >= self.radius**2 - self.beta:
             raise SeriesError(
-                f"empty crown: |omega| = {abs(self.omega):.3g} >= r^2 = {self.radius ** 2:.3g}"
+                f"empty crown: |omega| = {abs(self.omega):.3g} >= r^2 - beta = "
+                f"{self.radius ** 2 - self.beta:.3g}"
             )
-
-    def shrunk(self, omega=None, beta=None, radius=None) -> "CrownNormParams":
-        return CrownNormParams(
-            self.omega if omega is None else omega,
-            self.beta if beta is None else beta,
-            self.radius if radius is None else radius,
-            self.boundary_samples,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -498,11 +497,6 @@ class CrownSeries:
     def crown_norm(self, np_: CrownNormParams) -> float:
         """||f||_{omega,beta,r}, each disk sup sampled at ``boundary_samples``
         points of |z - omega| = beta: a lower estimate of the true norm."""
-        if abs(np_.omega) >= np_.radius**2 - np_.beta:
-            raise SeriesError(
-                f"empty crown: |omega| = {abs(np_.omega):.3g} >= r^2 - beta = "
-                f"{np_.radius ** 2 - np_.beta:.3g}"
-            )
         D = self.trunc_total
         rows, cols, degree = _crown_index(D)
         padded = np.zeros((D + 2, D + 2), dtype=np.complex128)
@@ -510,12 +504,7 @@ class CrownSeries:
         crown = padded[rows, cols]
         # one Horner over every crown coefficient f_lj at once; the zero
         # padding above a row's own degree leaves its values unchanged
-        if np_.beta == 0.0:
-            zs = np.array([np_.omega], dtype=np.complex128)
-        else:
-            n = np_.boundary_samples
-            th = 2.0 * np.pi * np.arange(n) / n
-            zs = np_.omega + np_.beta * np.exp(1j * th)
+        zs = _circle(np_.omega, np_.beta, np_.boundary_samples)
         vals = np.repeat(crown[:, -1:], zs.size, axis=1)
         for k in range(crown.shape[1] - 2, -1, -1):
             vals = vals * zs + crown[:, k : k + 1]

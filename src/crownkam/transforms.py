@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .series import CoeffSeries, CrownSeries, MapPair, identity_pair
+from .series import CoeffSeries, CrownSeries, MapPair, identity_pair, multiply
 
 
 @dataclass(frozen=True)
@@ -46,8 +46,6 @@ class ScalingLink:
     def forward_pair(self, D: int) -> MapPair:
         th = CrownSeries.from_z_series(self.theta.truncate(D // 2), D)
         th_inv = CrownSeries.from_z_series(self.theta_inv().truncate(D // 2), D)
-        from .series import multiply
-
         return (
             multiply(th, CrownSeries.xi(D)),
             multiply(th_inv, CrownSeries.eta(D)),

@@ -348,6 +348,35 @@ def test_crown_escape_margin_matches_pointwise_loop():
         assert crown_escape_margin(phi, g) == pytest.approx(worst, rel=0, abs=1e-15)
 
 
+def outside_window(geom):
+    # omega = r^2 lies outside every window |omega| < r'^2 - beta' with r' <= r
+    return dataclasses.replace(geom, omega_samples=(geom.r**2,))
+
+
+def test_crown_escape_margin_raises_on_empty_window():
+    t = generic_instance(99, 4e-4)
+    geom = desk_geometry(eps=measured_eps(t, 0.14), t=t)
+    phi = conjugate_step(t, solve_cohomological(t, compose_sigma(t), geom), geom).phi
+    with pytest.raises(SeriesError, match="window"):
+        crown_escape_margin(phi, outside_window(geom))
+
+
+def test_conjugate_step_raises_on_empty_window():
+    # the invertibility guard measures ||U|| in the window; it is not skipped
+    t = generic_instance(99, 4e-4)
+    geom = desk_geometry(eps=measured_eps(t, 0.14), t=t)
+    uv = solve_cohomological(t, compose_sigma(t), geom)
+    with pytest.raises(SeriesError, match="window"):
+        conjugate_step(t, uv, outside_window(geom))
+
+
+def test_sup_coeff_raises_on_empty_window():
+    geom = desk_geometry(eps=1e-3, delta=0.1)
+    assert geom.sup_coeff(desk_alpha(), geom.beta, geom.r) > 0
+    with pytest.raises(SeriesError, match="window"):
+        outside_window(geom).sup_coeff(desk_alpha(), geom.beta, geom.r)
+
+
 def test_main_step_s2_twist():
     # second-order twist alpha = lam + z^2: geometry powers and the
     # derivative ladder run at s = 2 and the step still contracts

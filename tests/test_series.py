@@ -241,6 +241,8 @@ def test_norm_rejects_empty_crown():
     f = CrownSeries.xi(3)
     with pytest.raises(SeriesError):
         f.crown_norm(CrownNormParams(0.0099, 0.0002, 0.1))
+    with pytest.raises(SeriesError):
+        CrownNormParams(0.0099, 0.0002, 0.1)
 
 
 def test_norm_monotonicity():
