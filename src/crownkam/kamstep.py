@@ -11,7 +11,7 @@ instance's eps, delta and K.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -127,14 +127,7 @@ class StepReport:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "eps": self.eps,
-            "delta": self.delta,
-            "K_formula": self.K_formula,
-            "K_cut": self.K_cut,
-            "entries": self.entries,
-            "practical": self.practical,
-        }
+        return asdict(self)
 
 
 def truncate_K(
@@ -497,11 +490,7 @@ def main_step(
     bound_pq_18 = eps ** (61 / 32) / 2.0 + 18.0 * (K + 1) / delta * skew_in
     report.add("p_plus_norm", p_plus, bound_pq)
     report.add("q_plus_norm", q_plus, bound_pq)
-    report.entries["pq_plus_bound_constant18"] = {
-        "measured": max(p_plus, q_plus),
-        "bound": bound_pq_18,
-        "pass": bool(max(p_plus, q_plus) <= bound_pq_18),
-    }
+    report.add("pq_plus_bound_constant18", max(p_plus, q_plus), bound_pq_18)
     skew_plus = geom.sup_norm(skew_term(t_plus), geom.beta_plus, geom.r_plus)
     report.add("skew_plus", skew_plus, eps ** (61 / 32))
 
@@ -521,6 +510,7 @@ def main_step(
             eps ** (1 / 3) / 10.0,
         )
 
+    norm_A = max(geom.sup_coeff(inter.A, geom.beta, geom.r), 1e-300)
     for kpow in (1, -1, 2, -2):
         th = theta_link.theta if kpow > 0 else theta_link.theta_inv()
         base = th if abs(kpow) == 1 else th * th
@@ -528,7 +518,7 @@ def main_step(
         report.add(
             f"theta_pow{kpow}_dev",
             geom.sup_coeff(dev, geom.beta_plus, geom.r_plus),
-            0.75 * abs(kpow) * max(geom.sup_coeff(inter.A, geom.beta, geom.r), 1e-300),
+            0.75 * abs(kpow) * norm_A,
         )
 
     report.practical["contraction"] = {

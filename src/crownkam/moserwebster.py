@@ -328,14 +328,18 @@ def write_hyperbola_csv(path: str, rows: list[dict]) -> None:
 def surface_from_config(cfg: dict) -> BishopSurface:
     """Surface from config data: gamma plus a monomial list for f.
 
-    Monomials are [k, l, re, im] meaning (re + i im) z1^k w1^l; the conjugate
-    entry is filled in automatically when absent.
+    Monomials are [k, l, re, im] meaning (re + i im) z1^k w1^l with k, l >= 0
+    and k + l <= degree; the conjugate entry is filled in automatically when
+    absent.
     """
     gamma = float(cfg["gamma"])
     D = int(cfg.get("degree", 12))
     c = np.zeros((D + 1, D + 1), dtype=np.complex128)
-    for k, l, re, im in cfg.get("f_monomials", []):
+    for entry in cfg.get("f_monomials", []):
+        k, l, re, im = entry
         k, l = int(k), int(l)
+        if min(k, l) < 0 or k + l > D:
+            raise SeriesError(f"f_monomials entry {entry}: need k, l >= 0 and k + l <= {D}")
         val = complex(re, im)
         c[k, l] += val
         if k != l:

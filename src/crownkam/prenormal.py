@@ -219,7 +219,6 @@ class RadiusResult:
     rigorous_feasible: bool
     rigorous_lhs: float
     alpha_conditions: dict
-    mode: str
     trial: dict | None = None
 
 
@@ -278,7 +277,7 @@ def radius_search(
         rigorous_ok = bool(lhs < 1.0) if A > 0 else True
         if A <= 1e-13:  # perturbation at truncation-noise level: trivially in
             return RadiusResult(
-                r, A, "case1", A, 0.0, 0.0, rigorous_ok, lhs, alpha_conditions, mode
+                r, A, "case1", A, 0.0, 0.0, rigorous_ok, lhs, alpha_conditions
             )
         beta = practical_beta(A, s, r)
         omegas = omega_window_samples(r, beta)
@@ -299,7 +298,7 @@ def radius_search(
             eps0 = A if branch == "case1" else A ** (49.0 / 50.0)
             return RadiusResult(
                 r, eps0, branch, A, skew, threshold, rigorous_ok, lhs,
-                alpha_conditions, mode, trial,
+                alpha_conditions, trial,
             )
         r *= 0.5
         if r < 1e-7:

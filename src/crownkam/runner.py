@@ -19,7 +19,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -134,22 +134,29 @@ FIXTURES = {
 
 
 def pair_from_direct(cfg: dict, D: int) -> InvolutionPair:
+    """Monomials are [m, n, re, im] meaning (re + i im) xi^m eta^n with
+    m, n >= 0 and m + n <= D."""
+
+    def series(key):
+        c = np.zeros((D + 1, D + 1), dtype=np.complex128)
+        for entry in cfg.get(key, []):
+            m, n, re, im = entry
+            m, n = int(m), int(n)
+            if min(m, n) < 0 or m + n > D:
+                raise ValueError(f"{key} entry {entry}: need m, n >= 0 and m + n <= {D}")
+            c[m, n] = complex(re, im)
+        return CrownSeries(c, D)
+
     try:
         alpha = CoeffSeries.from_json(cfg["alpha"]).project_real(1e-8)
-        p = np.zeros((D + 1, D + 1), dtype=np.complex128)
-        q = np.zeros((D + 1, D + 1), dtype=np.complex128)
-        for m, n, re, im in cfg.get("p_monomials", []):
-            p[int(m), int(n)] = complex(re, im)
-        for m, n, re, im in cfg.get("q_monomials", []):
-            q[int(m), int(n)] = complex(re, im)
+        p, q = series("p_monomials"), series("q_monomials")
     except (KeyError, IndexError, ValueError) as e:
         raise ConfigError(f"direct: {e}") from e
-    return InvolutionPair(alpha, CrownSeries(p, D), CrownSeries(q, D), 1)
+    return InvolutionPair(alpha, p, q, 1)
 
 
 @dataclass
 class KamState:
-    nu: int
     pair: InvolutionPair
     O: IntervalSet
     r: float
@@ -160,30 +167,20 @@ class KamState:
     eps_measured: list = field(default_factory=list)
     skew_measured: list = field(default_factory=list)
     sieve_rows: list = field(default_factory=list)
-    status: str = "running"
-    mode: str = "practical"
-    s: int = 1
+    status: str = "completed"
     sigma_o: object = None  # original composed map (component series pair)
     surface: BishopSurface | None = None
     frame: DiagonalFrame | None = None
     branch: str = "case1"
     lam0: float = 0.0
 
-    def omega_samples(self, beta: float, r: float, count: int = 5) -> tuple:
-        lim = r * r - beta
-        win = self.O.intersect(IntervalSet.interval(-lim, lim))
-        pts = win.sample(count)
-        if pts.size == 0:
-            raise SeriesError("surviving parameter set is empty in the working window")
-        return tuple(float(x) for x in pts)
 
-
-def _measure_pair(pair, omegas, beta, r, ns=64) -> tuple[float, float]:
-    g = StepGeometry(r, 0.75 * r, beta, eps=1.0, delta=1.0, omega_samples=omegas,
-                     boundary_samples=ns)
-    eps = 10.0 * max(g.sup_norm(pair.p, beta, r), g.sup_norm(pair.q, beta, r))
-    skew = g.sup_norm(skew_term(pair), beta, r)
-    return eps, skew
+def _window_samples(O: IntervalSet, lim: float, count: int = 5) -> tuple:
+    """``count`` points of O inside |omega| <= lim; raises when there are none."""
+    pts = O.intersect(IntervalSet.interval(-lim, lim)).sample(count)
+    if pts.size == 0:
+        raise SeriesError("surviving parameter set is empty in the working window")
+    return tuple(float(x) for x in pts)
 
 
 def prepare(config: RunConfig) -> tuple[KamState, dict]:
@@ -192,11 +189,7 @@ def prepare(config: RunConfig) -> tuple[KamState, dict]:
     record: dict = {"mode": config.mode}
     surface = frame = None
     if config.surface is not None:
-        surface = surface_from_config(config.surface)
-        if surface.trunc_total != D:
-            surface = BishopSurface(
-                surface.gamma, CrownSeries(_pad(surface.f.coeffs, D), D)
-            )
+        surface = surface_from_config(dict(config.surface, degree=D))
         frame, pair = diagonalize(surface)
         record["lambda"] = frame.lam
         lam0 = frame.lam
@@ -225,18 +218,7 @@ def prepare(config: RunConfig) -> tuple[KamState, dict]:
                 )
     s = prep.s_order
     rs = radius_search(prep, config.N, mode=config.mode)
-    record["radius_search"] = {
-        "r_star": rs.r_star,
-        "A": rs.A,
-        "eps0": rs.eps0,
-        "branch": rs.branch,
-        "skew_measured": rs.skew_measured,
-        "skew_threshold": rs.skew_threshold,
-        "rigorous_feasible": rs.rigorous_feasible,
-        "rigorous_lhs": rs.rigorous_lhs,
-        "alpha_conditions": rs.alpha_conditions,
-        "trial": _jsonable(rs.trial),
-    }
+    record["radius_search"] = asdict(rs)
 
     lam_prep = float(prep.alpha.coeffs[0].real)
     if rs.branch == "case1" or rs.A == 0.0:
@@ -249,11 +231,11 @@ def prepare(config: RunConfig) -> tuple[KamState, dict]:
         beta = practical_beta(rs.A, s, r_star)
         O_full = IntervalSet.interval(-r_star * r_star, r_star * r_star)
         g0 = StepGeometry(r_star, 0.75 * r_star, beta, eps=rs.A, delta=1.0, s=s,
-                          omega_samples=tuple(O_full.sample(7)),
+                          omega_samples=_window_samples(O_full, r_star * r_star, 7),
                           boundary_samples=config.boundary_samples)
         delta = calibrate_delta(prep.alpha, D, g0, 100.0 * rs.A ** (1.0 / (60.0 * s)))
         O_delta = excise_resonances(O_full, prep.alpha, g0.K_cut(D), delta)
-        g1 = replace(g0, omega_samples=tuple(O_delta.sample(7)))
+        g1 = replace(g0, omega_samples=_window_samples(O_delta, r_star * r_star, 7))
         geom = replace(g1, delta=calibrate_delta(prep.alpha, D, g1, delta))
         pair0, links, rep = main_step(prep, geom)
         record["preliminary_step"] = rep.to_dict()
@@ -266,17 +248,18 @@ def prepare(config: RunConfig) -> tuple[KamState, dict]:
     record["schedule"] = schedule.to_dict()
 
     beta0 = practical_beta(eps0, s, r0)
+    omegas = _window_samples(O0, r0 * r0 - beta0)
+    g = StepGeometry(r0, 0.75 * r0, beta0, eps=1.0, delta=1.0, omega_samples=omegas,
+                     boundary_samples=config.boundary_samples)
+    eps_m = 10.0 * max(g.sup_norm(pair0.p, beta0, r0), g.sup_norm(pair0.q, beta0, r0))
+    skew_m = g.sup_norm(skew_term(pair0), beta0, r0)
     state = KamState(
-        nu=0, pair=pair0, O=O0, r=r0, eps_schedule=schedule,
+        pair=pair0, O=O0, r=r0, eps_schedule=schedule,
         prelim_chain=list(chain_pre) + prelim_links,
-        status="prepared", mode=config.mode, s=s,
+        eps_measured=[eps_m], skew_measured=[skew_m],
         sigma_o=sigma_o.components(), surface=surface, frame=frame,
         branch=rs.branch, lam0=lam_prep,
     )
-    omegas = state.omega_samples(beta0, r0)
-    eps_m, skew_m = _measure_pair(pair0, omegas, beta0, r0, config.boundary_samples)
-    state.eps_measured.append(eps_m)
-    state.skew_measured.append(skew_m)
     zs = np.array(omegas)
     record["alpha0_minus_lambda_sup"] = float(
         np.max(np.abs(pair0.alpha.eval(zs).real - lam_prep))
@@ -295,13 +278,6 @@ def prepare(config: RunConfig) -> tuple[KamState, dict]:
         "skew_hypothesis_pass": bool(skew_m < eps0_sched**1.5 / 3.0),
     }
     return state, record
-
-
-def _pad(coeffs: np.ndarray, D: int) -> np.ndarray:
-    out = np.zeros((D + 1, D + 1), dtype=np.complex128)
-    n = min(coeffs.shape[0], D + 1)
-    out[:n, :n] = coeffs[:n, :n]
-    return out
 
 
 def _alpha_entry_hypotheses(alpha: CoeffSeries, s: int, r0: float, beta0: float) -> dict:
@@ -337,36 +313,36 @@ def _alpha_entry_hypotheses(alpha: CoeffSeries, s: int, r0: float, beta0: float)
     return out
 
 
-def iterate(state: KamState, max_nu: int, config: RunConfig) -> KamState:
+def iterate(state: KamState, config: RunConfig) -> KamState:
     """The loop: excise resonances, run a main step, record, repeat."""
     D = state.pair.trunc_total
+    s = state.pair.s_order
     sch = state.eps_schedule
-    while state.nu < max_nu:
-        nu = state.nu
+    practical = config.mode == "practical"
+    for nu in range(config.max_nu):
         r_nu = sch.r[nu]
         r_next = sch.r[nu + 1]
-        beta_nu = practical_beta(state.eps_measured[-1], state.s, r_nu)
+        beta_nu = practical_beta(state.eps_measured[-1], s, r_nu)
         eps_nu = max(state.eps_measured[-1], 1e-300)
         if eps_nu < config.convergence_floor or state.skew_measured[-1] < config.convergence_floor:
             state.status = "converged-to-truncation"
             break
-        omegas = state.omega_samples(beta_nu, r_nu)
-        g0 = StepGeometry(r_nu, r_next, beta_nu, eps=eps_nu, delta=1.0, s=state.s,
+        omegas = _window_samples(state.O, r_nu * r_nu - beta_nu)
+        g0 = StepGeometry(r_nu, r_next, beta_nu, eps=eps_nu, delta=1.0, s=s,
                           omega_samples=omegas, boundary_samples=config.boundary_samples)
         K_cut = g0.K_cut(D)
-        practical = state.mode == "practical"
-        delta = eps_nu ** (1.0 / (64.0 * state.s))
+        delta = eps_nu ** (1.0 / (64.0 * s))
         if practical:
             delta = calibrate_delta(state.pair.alpha, D, g0, delta)
 
         window = IntervalSet.interval(-r_next * r_next, r_next * r_next)
         O_shrunk = state.O.intersect(window)
         O_next = excise_resonances(O_shrunk, state.pair.alpha, K_cut, delta)
-        beta_next = practical_beta(eps_nu, state.s, r_next)
+        beta_next = practical_beta(eps_nu, s, r_next)
         mes = measure_excluded(
             O_shrunk, O_next,
             (-r_next * r_next + beta_next, r_next * r_next - beta_next),
-            eps_nu=eps_nu, s=state.s,
+            eps_nu=eps_nu, s=s,
         )
         state.sieve_rows.append(
             {
@@ -384,41 +360,23 @@ def iterate(state: KamState, max_nu: int, config: RunConfig) -> KamState:
             break
 
         try:
-            omegas_next = tuple(
-                float(x)
-                for x in O_next.intersect(
-                    IntervalSet.interval(-(r_next**2 - beta_nu), r_next**2 - beta_nu)
-                ).sample(5)
-            )
-            if not omegas_next:
-                raise SeriesError("no valid omega samples after excision")
             # recalibrate delta on the surviving samples: the excision grid and
             # the step's working grid must see the same divisor floor
-            g1 = replace(g0, omega_samples=omegas_next)
+            g1 = replace(g0, omega_samples=_window_samples(O_next, r_next**2 - beta_nu))
             if practical:
                 delta = calibrate_delta(state.pair.alpha, D, g1, delta)
-            geom = replace(g1, delta=delta)
-            pair_next, links, rep = main_step(state.pair, geom)
+            pair_next, links, rep = main_step(state.pair, replace(g1, delta=delta))
         except SeriesError as e:
             state.status = f"step-failed: {e}"
             break
 
         state.pair = pair_next
         state.O = O_next
+        state.r = r_next
         state.chain.append(links)
         state.history.append(rep.to_dict())
-        state.nu = nu + 1
-        state.r = r_next
-        eps_m, skew_m = _measure_pair(
-            pair_next, geom.omega_samples, geom.beta_plus, r_next,
-            config.boundary_samples,
-        )
-        state.eps_measured.append(eps_m)
-        state.skew_measured.append(skew_m)
-        if state.status == "prepared":
-            state.status = "running"
-    if state.status in ("running", "prepared"):
-        state.status = "completed"
+        state.eps_measured.append(rep.practical["eps_out"])
+        state.skew_measured.append(rep.entries["skew_plus"]["measured"])
     return state
 
 
@@ -579,7 +537,7 @@ def write_sieve_csv(path: str, state: KamState) -> None:
         w = csv.writer(fh)
         w.writerow(cols)
         for row in state.sieve_rows:
-            pb = resonance_zone_bound(state.s, row["delta"], row["K"])
+            pb = resonance_zone_bound(state.pair.s_order, row["delta"], row["K"])
             w.writerow(
                 [
                     row["nu"],
@@ -647,7 +605,7 @@ def select_omegas(state: KamState, count: int, window: float) -> tuple[list, lis
 
 def run_pipeline(config: RunConfig) -> tuple[KamState, dict, list]:
     state, record = prepare(config)
-    state = iterate(state, config.max_nu, config)
+    state = iterate(state, config)
     record["status"] = state.status
     record["eps_measured"] = list(state.eps_measured)
     record["skew_measured"] = list(state.skew_measured)
@@ -809,14 +767,9 @@ def run_cli(argv=None) -> int:
     try:
         if args.command == "build":
             if config.surface is None:
-                print("configuration error: surface: build needs a surface block",
-                      file=sys.stderr)
-                return 3
-            D = config.degree
-            surface = surface_from_config(config.surface)
-            frame, pair = diagonalize(
-                BishopSurface(surface.gamma, CrownSeries(_pad(surface.f.coeffs, D), D))
-            )
+                raise ConfigError("surface: build needs a surface block")
+            surface = surface_from_config(dict(config.surface, degree=config.degree))
+            frame, pair = diagonalize(surface)
             np_ = CrownNormParams(0.001, 0.0002, 0.1)
             out = {
                 "lambda": frame.lam,
@@ -850,7 +803,10 @@ def run_cli(argv=None) -> int:
             _print_summary(record)
             failed = state.status.startswith("step-failed") or state.status == "empty-parameter-set"
             return 2 if failed else 0
-    except (SeriesError,) as e:
+    except ConfigError as e:
+        print(f"configuration error: {e}", file=sys.stderr)
+        return 3
+    except SeriesError as e:
         print(f"structural failure: {e}", file=sys.stderr)
         return 2
     return 3

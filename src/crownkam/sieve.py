@@ -4,7 +4,7 @@ and the nu-indexed quantity schedule."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -238,18 +238,7 @@ class Schedule:
     feasibility_lhs: float = float("inf")
 
     def to_dict(self) -> dict:
-        return {
-            "s": self.s,
-            "eps": self.eps,
-            "beta": self.beta,
-            "beta_tilde": self.beta_tilde,
-            "zeta": self.zeta,
-            "r": self.r,
-            "K": self.K,
-            "beta_practical": self.beta_practical,
-            "feasible_rigorous": self.feasible_rigorous,
-            "feasibility_lhs": self.feasibility_lhs,
-        }
+        return asdict(self)
 
 
 def build_schedule(s: int, r0: float, eps0: float, max_nu: int) -> Schedule:

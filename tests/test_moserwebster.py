@@ -253,6 +253,14 @@ def test_surface_config_rejects_low_order():
         surface_from_config({"gamma": 0.8, "degree": 6, "f_monomials": [[1, 1, 0.1, 0]]})
 
 
+@pytest.mark.parametrize("mono", [[13, 0, 0.1, 0.0], [-1, 4, 0.1, 0.0], [7, 6, 0.1, 0.0]])
+def test_surface_config_rejects_monomials_outside_the_degree(mono):
+    # an index above the degree used to end in an IndexError, a negative one
+    # wrapped to the far end of the array, and k + l > degree was dropped
+    with pytest.raises(SeriesError, match=r"f_monomials entry \[.*k \+ l <= 12"):
+        surface_from_config({"gamma": 0.8, "degree": 12, "f_monomials": [[3, 0, 0.1, 0], mono]})
+
+
 def test_surface_rejects_elliptic_gamma():
     with pytest.raises(SeriesError):
         quadric_surface(0.3)

@@ -11,6 +11,7 @@ from crownkam.runner import (
     CurveResult,
     RunConfig,
     extract_curve,
+    pair_from_direct,
     run_cli,
     run_pipeline,
     smoothness_diagnostic,
@@ -100,6 +101,14 @@ def test_direct_input_prepared_form():
     assert record["prenormalization"] == {"skipped": "direct input in prepared form"}
     assert state.eps_measured[-1] < state.eps_measured[0]
     assert record["status"] in ("completed", "converged-to-truncation")
+
+
+@pytest.mark.parametrize("mono", [[-1, 0, 1e-4, 0.0], [7, 6, 1e-4, 0.0], [13, 0, 1e-4, 0.0]])
+def test_direct_rejects_monomials_outside_the_degree(mono):
+    # a negative index used to wrap to xi^D and m + n > D was dropped silently
+    cfg = {"alpha": [[1.7, 0.0], [1.0, 0.0]], "p_monomials": [mono]}
+    with pytest.raises(ConfigError, match=r"p_monomials entry \[.*m \+ n <= 12"):
+        pair_from_direct(cfg, 12)
 
 
 # ---------------------------------------------------------------------------
@@ -303,3 +312,36 @@ def test_cli_iterate_outputs(tmp_path):
     assert hyp[0] == "omega,arg_index,re_z1,im_z1,re_z2,im_z2,is_real_branch"
     # the report subcommand reads the run report back
     assert run_cli(["report", "--out", str(out)]) == 0
+
+
+def test_cli_config_error_in_preparation(tmp_path, capsys):
+    # pair_from_direct raises inside prepare, after the config has loaded
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps({"direct": {"p_monomials": []}, "N": 2, "degree": 12}))
+    code = run_cli(["iterate", "--config", str(cfgp), "--out", str(tmp_path / "o")])
+    assert code == 3
+    assert "configuration error: direct:" in capsys.readouterr().err
+
+
+def test_cli_monomial_index_errors(tmp_path, capsys):
+    direct = {"alpha": [[1.7, 0.0], [1.0, 0.0]], "p_monomials": [[-1, 0, 1e-4, 0.0]]}
+    surface = {"gamma": 0.77, "degree": 12, "f_monomials": [[13, 0, 1e-6, 0.0]]}
+    for block, expected in (({"direct": direct}, 3), ({"surface": surface}, 2)):
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps(dict(block, N=2, degree=12)))
+        code = run_cli(["iterate", "--config", str(cfgp), "--out", str(tmp_path / "o")])
+        assert code == expected
+        assert "monomials entry [" in capsys.readouterr().err
+
+
+def test_cli_build_uses_the_run_degree(tmp_path):
+    # the surface is built at the run degree, not at its own block's degree
+    cfg = dict(FIXTURES["cubic"], degree=14)
+    cfg["surface"] = dict(cfg["surface"],
+                          f_monomials=cfg["surface"]["f_monomials"] + [[13, 0, 1e-6, 0.0]])
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps(cfg))
+    code = run_cli(["build", "--config", str(cfgp), "--out", str(tmp_path / "o")])
+    assert code == 0
+    data = json.loads((tmp_path / "o" / "pair.json").read_text())
+    assert data["involution_residual"] < 1e-9
