@@ -11,6 +11,7 @@ instance's eps, delta and K.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -208,34 +209,23 @@ def solve_cohomological(
             f"small divisor {dmin:.3e} below delta/2 = {geom.delta / 2:.3e} on the disk"
         )
     Dz = D // 2
-    E1 = t.alpha.truncate(Dz).exp(1j)
-    Em1 = t.alpha.truncate(Dz).exp(-1j)
+    alpha = t.alpha.truncate(Dz)
 
+    @functools.cache
     def E(n: int) -> CoeffSeries:
-        return t.alpha.truncate(Dz).exp(1j * n)
+        return alpha.exp(1j * n)
 
-    u_entries = []
-    v_entries = []
-    for l in range(0, K + 1):
-        if l >= 2:
-            f_l0 = sigma.f.crown_coefficient(l, 0).truncate(Dz)
-            num = f_l0 - E(l + 1) * f_l0.conj()
-            den = (E(l) - E1) * 2.0
-            u_entries.append((l, 0, (num * den.reciprocal()).truncate((D - l) // 2)))
-        g_l0 = sigma.g.crown_coefficient(l, 0).truncate(Dz)
-        num = g_l0 - E(l - 1) * g_l0.conj()
-        den = (E(l) - Em1) * 2.0
-        v_entries.append((l, 0, (num * den.reciprocal()).truncate((D - l) // 2)))
-    for j in range(0, K + 1):
-        f_0j = sigma.f.crown_coefficient(0, j).truncate(Dz)
-        num = f_0j - E(-(j - 1)) * f_0j.conj()
-        den = (E(-j) - E1) * 2.0
-        u_entries.append((0, j, (num * den.reciprocal()).truncate((D - j) // 2)))
-        if j >= 2:
-            g_0j = sigma.g.crown_coefficient(0, j).truncate(Dz)
-            num = g_0j - E(-(j + 1)) * g_0j.conj()
-            den = (E(-j) - Em1) * 2.0
-            v_entries.append((0, j, (num * den.reciprocal()).truncate((D - j) // 2)))
+    def entry(h: CrownSeries, l: int, j: int, a: int, b: int, c: int) -> tuple:
+        """(h_lj - E_a hbar_lj) / (2 (E_b - E_c)) as the crown entry (l, j)."""
+        h_lj = h.crown_coefficient(l, j).truncate(Dz)
+        num = h_lj - E(a) * h_lj.conj()
+        den = (E(b) - E(c)) * 2.0
+        return (l, j, (num * den.reciprocal()).truncate((D - l - j) // 2))
+
+    u_entries = [entry(sigma.f, l, 0, l + 1, l, 1) for l in range(2, K + 1)]
+    u_entries += [entry(sigma.f, 0, j, -(j - 1), -j, 1) for j in range(K + 1)]
+    v_entries = [entry(sigma.g, l, 0, l - 1, l, -1) for l in range(K + 1)]
+    v_entries += [entry(sigma.g, 0, j, -(j + 1), -j, -1) for j in range(2, K + 1)]
     u = CrownSeries.crown_reassemble(u_entries, D)
     v = CrownSeries.crown_reassemble(v_entries, D)
     scale = max(1.0, u.max_abs_coeff(), v.max_abs_coeff())

@@ -10,7 +10,6 @@ the invariant hyperbolas {xi eta = omega}.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -316,15 +315,6 @@ def hyperbola_image(
     ]
 
 
-def write_hyperbola_csv(path: str, rows: list[dict]) -> None:
-    cols = ["omega", "arg_index", "re_z1", "im_z1", "re_z2", "im_z2", "is_real_branch"]
-    with open(path, "w", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=cols)
-        w.writeheader()
-        for row in rows:
-            w.writerow({c: row[c] for c in cols})
-
-
 def surface_from_config(cfg: dict) -> BishopSurface:
     """Surface from config data: gamma plus a monomial list for f.
 
@@ -332,15 +322,25 @@ def surface_from_config(cfg: dict) -> BishopSurface:
     and k + l <= degree; the conjugate entry is filled in automatically when
     absent.
     """
-    gamma = float(cfg["gamma"])
+    try:
+        gamma = float(cfg["gamma"])
+    except (KeyError, TypeError, ValueError):
+        raise SeriesError(f"gamma: must be a number, got {cfg.get('gamma')!r}") from None
     D = int(cfg.get("degree", 12))
     c = np.zeros((D + 1, D + 1), dtype=np.complex128)
-    for entry in cfg.get("f_monomials", []):
-        k, l, re, im = entry
-        k, l = int(k), int(l)
+    monomials = cfg.get("f_monomials", [])
+    if not isinstance(monomials, list):
+        raise SeriesError(f"f_monomials: must be a list of [k, l, re, im], got {monomials!r}")
+    for entry in monomials:
+        try:
+            k, l, re, im = entry
+            k, l, val = int(k), int(l), complex(re, im)
+        except (TypeError, ValueError):
+            raise SeriesError(
+                f"f_monomials entry {entry}: need four numbers [k, l, re, im]"
+            ) from None
         if min(k, l) < 0 or k + l > D:
             raise SeriesError(f"f_monomials entry {entry}: need k, l >= 0 and k + l <= {D}")
-        val = complex(re, im)
         c[k, l] += val
         if k != l:
             c[l, k] += np.conj(val)

@@ -31,7 +31,6 @@ from .moserwebster import (
     diagonalize,
     hyperbola_image,
     surface_from_config,
-    write_hyperbola_csv,
 )
 from .prenormal import (
     practical_beta,
@@ -54,6 +53,11 @@ CONVERGENCE_FLOOR = 1e-13
 
 class ConfigError(ValueError):
     """Malformed run configuration; carries a field-path diagnostic."""
+
+
+def _require_object(value, name: str) -> None:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name}: must be a JSON object, got {value!r}")
 
 
 @dataclass
@@ -79,6 +83,9 @@ class RunConfig:
             raise ConfigError("surface|direct: exactly one input block is required")
         if self.surface is not None and self.direct is not None:
             raise ConfigError("surface|direct: give only one input block")
+        for name in ("surface", "direct"):
+            if getattr(self, name) is not None:
+                _require_object(getattr(self, name), name)
         if self.N is None:
             self.N = 16 * self.s_hint
         if self.degree is None:
@@ -97,6 +104,7 @@ class RunConfig:
 
     @staticmethod
     def from_dict(data: dict) -> "RunConfig":
+        _require_object(data, "config")
         known = {f for f in RunConfig.__dataclass_fields__}
         unknown = set(data) - known
         if unknown:
@@ -150,7 +158,7 @@ def pair_from_direct(cfg: dict, D: int) -> InvolutionPair:
     try:
         alpha = CoeffSeries.from_json(cfg["alpha"]).project_real(1e-8)
         p, q = series("p_monomials"), series("q_monomials")
-    except (KeyError, IndexError, ValueError) as e:
+    except (KeyError, IndexError, TypeError, ValueError) as e:
         raise ConfigError(f"direct: {e}") from e
     return InvolutionPair(alpha, p, q, 1)
 
@@ -207,7 +215,7 @@ def prepare(config: RunConfig) -> tuple[KamState, dict]:
         record["prenormalization"] = {"skipped": "direct input in prepared form"}
     else:
         prep, chain_pre, pre_report = prenormalize(pair, config.N)
-        record["prenormalization"] = _jsonable(pre_report)
+        record["prenormalization"] = pre_report
         if pre_report.get("nondegeneracy") == "degenerate":
             # a vanishing twist only blocks the sieve when there is something
             # to sieve; the unperturbed pair runs through trivially
@@ -387,7 +395,7 @@ class CurveResult:
     conjugacy_residual: float
     rho_equivariance_residual: float
     chain_tail: float
-    samples: list = field(default_factory=list)
+    samples: list = field(default_factory=list)  # rows [re_xi, im_xi, re_x, im_x, re_y, im_y]
 
     def in_window(self, lam: float) -> bool:
         lo, hi = lam - np.pi / 4, lam + np.pi / 4
@@ -433,14 +441,7 @@ def extract_curve(state: KamState, omega: float, n_pts: int) -> CurveResult:
         np.max(np.abs(Xc - np.conj(X))),
         np.max(np.abs(Yc - np.conj(Y))),
     ))
-    samples = [
-        {
-            "re_xi": p.real, "im_xi": p.imag,
-            "re_x": x.real, "im_x": x.imag,
-            "re_y": y.real, "im_y": y.imag,
-        }
-        for p, x, y in zip(x0.tolist(), X.tolist(), Y.tolist())
-    ]
+    samples = np.column_stack([x0.real, x0.imag, X.real, X.imag, Y.real, Y.imag]).tolist()
     tail = 0.0
     if len(state.eps_measured) >= 2 and state.eps_measured[-2] > 0:
         ratio = min(0.5, state.eps_measured[-1] / state.eps_measured[-2])
@@ -482,98 +483,66 @@ def smoothness_diagnostic(results: list[CurveResult]) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _jsonable(obj):
-    if obj is None or isinstance(obj, (bool, int, str)):
-        return obj
-    if isinstance(obj, float):
-        return float(obj)
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    return str(obj)
-
-
 def write_json(path: str, data: dict) -> None:
+    def default(obj):
+        return obj.tolist() if isinstance(obj, (np.generic, np.ndarray)) else str(obj)
+
     with open(path, "w") as fh:
-        json.dump(_jsonable(data), fh, indent=1, sort_keys=True)
+        json.dump(data, fh, indent=1, sort_keys=True, default=default)
         fh.write("\n")
+
+
+def _write_csv(path: str, header: list, rows) -> None:
+    """Floats in shortest round-trip form, so float(cell) returns the value."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows([repr(float(v)) if isinstance(v, float) else v for v in row] for row in rows)
 
 
 def write_steps_csv(path: str, state: KamState) -> None:
     """One row per recorded nu; step-report columns where a step ran."""
-    cols = [
-        "nu", "eps_measured", "skew_measured", "p_plus_bound", "skew_plus_bound",
-        "contraction_pass", "skew_contraction_pass",
-    ]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(cols)
-        for nu in range(len(state.eps_measured)):
-            rep = state.history[nu] if nu < len(state.history) else None
-            w.writerow(
-                [
-                    nu,
-                    repr(float(state.eps_measured[nu])),
-                    repr(float(state.skew_measured[nu])),
-                    repr(float(rep["entries"]["p_plus_norm"]["bound"])) if rep else "",
-                    repr(float(rep["entries"]["skew_plus"]["bound"])) if rep else "",
-                    rep["practical"]["contraction"]["pass"] if rep else "",
-                    rep["practical"]["skew_contraction"]["pass"] if rep else "",
-                ]
-            )
+    rows = []
+    for nu, (eps, skew) in enumerate(zip(state.eps_measured, state.skew_measured)):
+        rep = state.history[nu] if nu < len(state.history) else None
+        step = ["", "", "", ""] if rep is None else [
+            rep["entries"]["p_plus_norm"]["bound"], rep["entries"]["skew_plus"]["bound"],
+            rep["practical"]["contraction"]["pass"],
+            rep["practical"]["skew_contraction"]["pass"],
+        ]
+        rows.append([nu, eps, skew] + step)
+    _write_csv(path, ["nu", "eps_measured", "skew_measured", "p_plus_bound", "skew_plus_bound",
+                      "contraction_pass", "skew_contraction_pass"], rows)
 
 
 def write_sieve_csv(path: str, state: KamState) -> None:
-    cols = ["nu", "surviving_measure", "excluded_measure", "paper_bound_mes",
-            "paper_bound_pyartli", "bound_vacuous"]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(cols)
-        for row in state.sieve_rows:
-            pb = resonance_zone_bound(state.pair.s_order, row["delta"], row["K"])
-            w.writerow(
-                [
-                    row["nu"],
-                    repr(float(row["surviving_measure"])),
-                    repr(float(row["excluded_measure"])),
-                    repr(float(row["paper_bound_mes"])),
-                    repr(float(pb)),
-                    row["bound_vacuous"],
-                ]
-            )
+    _write_csv(path, ["nu", "surviving_measure", "excluded_measure", "paper_bound_mes",
+                      "paper_bound_pyartli", "bound_vacuous"], [
+        [row["nu"], row["surviving_measure"], row["excluded_measure"], row["paper_bound_mes"],
+         resonance_zone_bound(state.pair.s_order, row["delta"], row["K"]), row["bound_vacuous"]]
+        for row in state.sieve_rows
+    ])
 
 
-def write_curves_csv(out_dir: str, curves: list[CurveResult]) -> None:
-    with open(os.path.join(out_dir, "curves_summary.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["omega", "mu_omega", "conjugacy_residual", "rho_residual", "chain_tail"])
-        for c in curves:
-            w.writerow([repr(float(c.omega)), repr(float(c.mu_omega)),
-                        repr(float(c.conjugacy_residual)),
-                        repr(float(c.rho_equivariance_residual)),
-                        repr(float(c.chain_tail))])
-    with open(os.path.join(out_dir, "curves.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["omega", "re_xi", "im_xi", "re_x", "im_x", "re_y", "im_y"])
-        for c in curves:
-            for srow in c.samples:
-                w.writerow([repr(float(c.omega))] + [repr(float(srow[k])) for k in
-                            ("re_xi", "im_xi", "re_x", "im_x", "re_y", "im_y")])
+def write_curves_csv(out_dir: str, curves: list[CurveResult], hyperbolas: list[dict]) -> None:
+    """The per-curve tables: summary, samples, one plot file per curve, and
+    the surface images of the hyperbolas when there are any."""
+    _write_csv(os.path.join(out_dir, "curves_summary.csv"),
+               ["omega", "mu_omega", "conjugacy_residual", "rho_residual", "chain_tail"],
+               [[c.omega, c.mu_omega, c.conjugacy_residual, c.rho_equivariance_residual,
+                 c.chain_tail] for c in curves])
+    _write_csv(os.path.join(out_dir, "curves.csv"),
+               ["omega", "re_xi", "im_xi", "re_x", "im_x", "re_y", "im_y"],
+               [[c.omega] + row for c in curves for row in c.samples])
     plot_dir = os.path.join(out_dir, "plotdata")
     os.makedirs(plot_dir, exist_ok=True)
     for i, c in enumerate(curves):
-        with open(os.path.join(plot_dir, f"curve_{i:03d}.csv"), "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["re_x", "im_x", "re_y", "im_y"])
-            for srow in c.samples:
-                w.writerow([repr(float(srow[k])) for k in ("re_x", "im_x", "re_y", "im_y")])
+        _write_csv(os.path.join(plot_dir, f"curve_{i:03d}.csv"), ["re_x", "im_x", "re_y", "im_y"],
+                   [row[2:] for row in c.samples])
+    if hyperbolas:
+        cols = ["omega", "arg_index", "re_z1", "im_z1", "re_z2", "im_z2", "is_real_branch"]
+        _write_csv(os.path.join(out_dir, "hyperbolas.csv"), cols,
+                   [[h[k] for k in cols] for h in hyperbolas])
 
 
 def select_omegas(state: KamState, count: int, window: float) -> tuple[list, list]:
@@ -715,6 +684,7 @@ def _load_config(args) -> RunConfig:
             raise ConfigError(f"config: {e}") from e
         except json.JSONDecodeError as e:
             raise ConfigError(f"config: invalid JSON ({e})") from e
+        _require_object(data, "config")
     if args.mode:
         data["mode"] = args.mode
     if args.max_nu is not None:
@@ -789,17 +759,14 @@ def run_cli(argv=None) -> int:
             write_json(os.path.join(config.out_dir, "run_report.json"), record)
             write_steps_csv(os.path.join(config.out_dir, "steps.csv"), state)
             write_sieve_csv(os.path.join(config.out_dir, "sieve.csv"), state)
-            write_curves_csv(config.out_dir, curves)
-            if state.surface is not None and curves:
-                rows = []
-                for c in curves[: min(4, len(curves))]:
-                    rows.extend(
-                        hyperbola_image(
-                            state.pair, full_chain(state), c.omega, state.r, 5,
-                            surface=state.surface, frame=state.frame,
-                        )
-                    )
-                write_hyperbola_csv(os.path.join(config.out_dir, "hyperbolas.csv"), rows)
+            hyperbolas = []
+            if state.surface is not None:
+                for c in curves[:4]:
+                    hyperbolas.extend(hyperbola_image(
+                        state.pair, full_chain(state), c.omega, state.r, 5,
+                        surface=state.surface, frame=state.frame,
+                    ))
+            write_curves_csv(config.out_dir, curves, hyperbolas)
             _print_summary(record)
             failed = state.status.startswith("step-failed") or state.status == "empty-parameter-set"
             return 2 if failed else 0

@@ -63,7 +63,7 @@ def _circle(omega: float, beta: float, n: int) -> np.ndarray:
 class CoeffSeries:
     """Truncated univariate complex power series c_0 + c_1 z + ... + c_D z^D."""
 
-    __slots__ = ("coeffs", "real")
+    __slots__ = ("coeffs",)
 
     def __init__(self, coeffs, real: bool = False, realness_tol: float = REALNESS_TOL):
         c = np.asarray(coeffs, dtype=np.complex128).copy()
@@ -79,7 +79,6 @@ class CoeffSeries:
             c = c.real.astype(np.complex128)
         c.setflags(write=False)
         self.coeffs = c
-        self.real = bool(real)
 
     # -- constructors ------------------------------------------------------
 
@@ -92,13 +91,6 @@ class CoeffSeries:
         c = np.zeros(trunc_z + 1, dtype=np.complex128)
         c[0] = value
         return CoeffSeries(c, real=abs(complex(value).imag) == 0.0)
-
-    @staticmethod
-    def variable(trunc_z: int) -> "CoeffSeries":
-        c = np.zeros(trunc_z + 1, dtype=np.complex128)
-        if trunc_z >= 1:
-            c[1] = 1.0
-        return CoeffSeries(c, real=True)
 
     # -- basic queries -----------------------------------------------------
 

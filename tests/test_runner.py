@@ -1,5 +1,6 @@
 """Tests for the end-to-end driver, curve extraction and the CLI."""
 
+import csv
 import json
 
 import numpy as np
@@ -310,8 +311,67 @@ def test_cli_iterate_outputs(tmp_path):
     assert (out / "plotdata").is_dir()
     hyp = (out / "hyperbolas.csv").read_text().splitlines()
     assert hyp[0] == "omega,arg_index,re_z1,im_z1,re_z2,im_z2,is_real_branch"
+    # every float cell reads back exactly as the report's value of that name
+    report = json.loads((out / "run_report.json").read_text())
+    steps = _csv_rows(out / "steps.csv")
+    for nu, row in enumerate(steps):
+        assert float(row["eps_measured"]) == report["eps_measured"][nu]
+        assert float(row["skew_measured"]) == report["skew_measured"][nu]
+        if nu < len(report["steps"]):
+            entries = report["steps"][nu]["entries"]
+            assert float(row["p_plus_bound"]) == entries["p_plus_norm"]["bound"]
+            assert float(row["skew_plus_bound"]) == entries["skew_plus"]["bound"]
+    assert steps[-1]["p_plus_bound"] == steps[-1]["contraction_pass"] == ""
+    sieve = _csv_rows(out / "sieve.csv")
+    assert len(sieve) == len(report["sieve"])
+    for row, rec in zip(sieve, report["sieve"]):
+        for name in ("surviving_measure", "excluded_measure", "paper_bound_mes"):
+            assert float(row[name]) == rec[name]
+    summary = _csv_rows(out / "curves_summary.csv")
+    assert len(summary) == len(report["curves"]) >= 2
+    for row, rec in zip(summary, report["curves"]):
+        for name in ("omega", "mu_omega", "conjugacy_residual", "rho_residual", "chain_tail"):
+            assert float(row[name]) == rec[name]
+    # one curves.csv row per sample, one plotdata file per curve
+    samples = _csv_rows(out / "curves.csv")
+    assert len(samples) == 64 * len(report["curves"])
+    assert [float(r["omega"]) for r in samples[::64]] == [c["omega"] for c in report["curves"]]
+    plots = sorted((out / "plotdata").iterdir())
+    assert len(plots) == len(report["curves"])
+    assert [r["re_x"] for r in _csv_rows(plots[-1])] == [r["re_x"] for r in samples[-64:]]
     # the report subcommand reads the run report back
     assert run_cli(["report", "--out", str(out)]) == 0
+
+
+def _csv_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+@pytest.mark.parametrize(
+    "text, code, message",
+    [
+        ("null", 3, "config: must be a JSON object"),
+        ("[1, 2]", 3, "config: must be a JSON object"),
+        ('{"surface": 5, "N": 2, "degree": 12}', 3, "surface: must be a JSON object"),
+        ('{"direct": [1], "N": 2, "degree": 12}', 3, "direct: must be a JSON object"),
+        ('{"surface": {"f_monomials": []}, "N": 2, "degree": 12}', 2, "gamma: must be a number"),
+        ('{"surface": {"gamma": "abc"}, "N": 2, "degree": 12}', 2, "gamma: must be a number"),
+        ('{"surface": {"gamma": 0.77, "f_monomials": [[3, 0, 0.08]]}, "N": 2, "degree": 12}',
+         2, "f_monomials entry [3, 0, 0.08]"),
+        ('{"surface": {"gamma": 0.77, "f_monomials": 5}, "N": 2, "degree": 12}',
+         2, "f_monomials: must be a list"),
+        ('{"direct": {"alpha": [[1.7, 0.0], [1.0, 0.0]], "p_monomials": 5}, "N": 2, "degree": 12}',
+         3, "configuration error: direct:"),
+    ],
+    ids=["top-null", "top-list", "surface-int", "direct-list", "no-gamma", "gamma-str",
+         "monomial-of-three", "monomials-not-a-list", "direct-monomials-not-a-list"],
+)
+def test_cli_malformed_config_blocks(tmp_path, capsys, text, code, message):
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(text)
+    assert run_cli(["iterate", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == code
+    assert message in capsys.readouterr().err
 
 
 def test_cli_config_error_in_preparation(tmp_path, capsys):
