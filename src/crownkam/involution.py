@@ -200,7 +200,6 @@ def structural_residuals(t: InvolutionPair, np_: CrownNormParams) -> dict:
     rot_m = rotation_factor(t.alpha, -0.5, D)
     z_bi = multiply(CrownSeries.xi(D), CrownSeries.eta(D))
 
-    p10 = CrownSeries.from_z_series(t.p.crown_coefficient(1, 0), D)
     p01 = CrownSeries.from_z_series(t.p.crown_coefficient(0, 1), D)
     q10 = CrownSeries.from_z_series(t.q.crown_coefficient(1, 0), D)
     f10 = CrownSeries.from_z_series(sigma.f.crown_coefficient(1, 0), D)

@@ -374,7 +374,6 @@ def theta_scaling(
     norm_A = geom.sup_coeff(A, geom.beta, geom.r)
     if norm_A >= 1.0 / 16.0:
         raise SeriesError(f"scaling precondition ||A|| = {norm_A:.3g} >= 1/16")
-    r_cond = 4.0 * (geom.r_tilde - geom.r_plus) / (3.0 * geom.r_plus)
     Ep = alpha.exp(0.5j)
     Em = alpha.exp(-0.5j)
     w = Em * A + Ep * A.conj() + A * A.conj()

@@ -82,10 +82,6 @@ class DiagonalFrame:
     b: complex
 
     @property
-    def matrix(self) -> np.ndarray:
-        return np.array([[self.a, self.b], [np.conj(self.a), np.conj(self.b)]])
-
-    @property
     def root(self) -> complex:
         return np.exp(0.5j * self.lam)
 

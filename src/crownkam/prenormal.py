@@ -355,7 +355,6 @@ def prenormalize(
     scan = nonresonant_scan(pd_pair, 2 * N + 2)
     pair, link, rf_report = realform_scaling(pd_pair, N)
     chain = chain + [link]
-    lam = float(pair.alpha.coeffs[0].real)
     tilde = CoeffSeries(np.concatenate([[0.0], pair.alpha.coeffs[1:]]))
     det = detect_nondegeneracy(tilde, degeneracy_tol)
     if det == "degenerate":

@@ -49,6 +49,10 @@ from .sieve import (
 from .transforms import chain_apply, chain_realness_defect
 
 CONVERGENCE_FLOOR = 1e-13
+# numeric RunConfig fields: an int field takes an int, a float field an int or a float
+NUMERIC_FIELDS = dict.fromkeys(("s_hint", "degree", "N", "max_nu", "omega_count",
+                                "n_curve_points", "boundary_samples"), int)
+NUMERIC_FIELDS.update(omega_window=float, convergence_floor=float)
 
 
 class ConfigError(ValueError):
@@ -86,6 +90,13 @@ class RunConfig:
         for name in ("surface", "direct"):
             if getattr(self, name) is not None:
                 _require_object(getattr(self, name), name)
+        for name, kind in NUMERIC_FIELDS.items():
+            value = getattr(self, name)
+            if value is None and name in ("degree", "N"):
+                continue
+            if isinstance(value, bool) or not isinstance(value, (int, kind)):
+                noun = "an integer" if kind is int else "a real number"
+                raise ConfigError(f"{name}: must be {noun}, got {value!r}")
         if self.N is None:
             self.N = 16 * self.s_hint
         if self.degree is None:
@@ -462,7 +473,6 @@ def smoothness_diagnostic(results: list[CurveResult]) -> dict:
     if len(set(om)) != len(om):
         raise SeriesError("duplicate omega in smoothness diagnostic")
     mu = [c.mu_omega for c in pts]
-    table = {0: list(zip(om, mu))}
     level = list(mu)
     xs = list(om)
     out = {"orders": {}}

@@ -34,7 +34,6 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 REALNESS_TOL = 1e-10
 EXP_TAIL_TOL = 1e-16
@@ -641,24 +640,42 @@ class CrownSeries:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _product_slots(D: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per slot (n, q), q <= D - n, of ``multiply`` at truncation D, for T^T and
+    then for G: the column n of f that owns it and its row's offset in the pad."""
+    n, q = np.nonzero(_triangle_mask(D + 1))
+    w = 2 * D + 1
+    slots = (np.concatenate((n, n)), np.concatenate((n * w + D - q, (D + 1 + q) * w + D - n)))
+    for arr in slots:
+        arr.setflags(write=False)
+    return slots
+
+
 def multiply(f: CrownSeries, g: CrownSeries) -> CrownSeries:
     """Truncated product by a direct sum; terms of total degree > D are dropped.
 
-    For each eta-degree n of a nonzero column of f, the xi-convolution with
-    f[:, n] is the lower-triangular Toeplitz block T[p, q] = f[p - q, n], a
-    strided view of a zero-padded copy of f; one matrix product with
-    g[:, :D+1-n] adds that column's share to out[:, n:].  The terms this
-    forms above the triangle are zeroed.
+    One matrix product T @ G over the slots (n, q), q <= D - n, of the
+    nonzero columns n of f: T[p, (n, q)] = f[p - q, n] and
+    G[(n, q), c] = g[q, c - n], zero when p < q or c < n.  A slot with
+    q > D - n only reaches p + c > D, which is zeroed with the rest above
+    the triangle, so each coefficient is one dot product of at most
+    (D+1)(D+2)/2 terms.  The rows of T^T and G are windows of one pad of
+    f^T and g, each led by D zeros, gathered into one array: as two, at
+    D = 36 they were handed back to the system and faulted in every call.
     """
     D = f._matched(g)
     size = D + 1
-    padded = np.zeros((2 * size - 1, size), dtype=np.complex128)
-    padded[D:] = f.coeffs
-    toeplitz = sliding_window_view(padded, size, axis=0)[:, :, ::-1]
     out = np.zeros((size, size), dtype=np.complex128)
-    for n in np.flatnonzero(f.coeffs.any(axis=0)):
-        out[:, n:] += toeplitz[:, n, :] @ g.coeffs[:, : size - n]
-    out[~_triangle_mask(size)] = 0.0
+    owner, offsets = _product_slots(D)
+    picked = offsets[f.coeffs.any(axis=0)[owner]]
+    if picked.size:
+        pad = np.zeros((2 * size, 2 * D + 1), dtype=np.complex128)
+        pad[:size, D:], pad[size:, D:] = f.coeffs.T, g.coeffs
+        window = np.ndarray((pad.size - D, size), pad.dtype, pad, 0, (pad.itemsize,) * 2)
+        t_rows, g_rows = window[picked].reshape(2, -1, size)
+        np.matmul(t_rows.T, g_rows, out=out)
+        out[~_triangle_mask(size)] = 0.0
     return CrownSeries._adopt(out, D)
 
 
@@ -708,11 +725,6 @@ def _horner(h: CrownSeries, X: CrownSeries, ypow: list[CrownSeries]) -> CrownSer
             prod = multiply(_resized(acc, d), _resized(X, d))
             acc = CrownSeries._adopt(prod.coeffs + row, d)
     return acc
-
-
-def pair_norm(fg: tuple[CrownSeries, CrownSeries], np_: CrownNormParams) -> float:
-    """||(f,g)|| = ||f|| + ||g||."""
-    return fg[0].crown_norm(np_) + fg[1].crown_norm(np_)
 
 
 def rotation_factor(alpha: CoeffSeries, b: float, D: int) -> CrownSeries:
@@ -793,7 +805,7 @@ def invert_near_identity(
     if guard is not None:
         np_, rp, rpp = guard
         bound = np_.beta * (rp - rpp) / (30.0 * rp)
-        nu = pair_norm(U, np_)
+        nu = u.crown_norm(np_) + v.crown_norm(np_)
         if nu >= bound:
             raise SeriesError(
                 f"near-identity inversion rejected: ||U|| = {nu:.3g} >= {bound:.3g}"

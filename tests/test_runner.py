@@ -374,6 +374,35 @@ def test_cli_malformed_config_blocks(tmp_path, capsys, text, code, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"N": 2.5, "degree": 14}, "N: must be an integer, got 2.5"),
+        ({"max_nu": "3"}, "max_nu: must be an integer, got '3'"),
+        ({"degree": 12.0}, "degree: must be an integer, got 12.0"),
+        ({"s_hint": True}, "s_hint: must be an integer, got True"),
+        ({"omega_count": 9.0}, "omega_count: must be an integer, got 9.0"),
+        ({"n_curve_points": [64]}, "n_curve_points: must be an integer, got [64]"),
+        ({"boundary_samples": None}, "boundary_samples: must be an integer, got None"),
+        ({"omega_window": "0.9"}, "omega_window: must be a real number, got '0.9'"),
+        ({"convergence_floor": False}, "convergence_floor: must be a real number, got False"),
+    ],
+    ids=["N-float", "max_nu-str", "degree-float", "s_hint-bool", "omega_count-float",
+         "n_curve_points-list", "boundary_samples-null", "omega_window-str",
+         "convergence_floor-bool"],
+)
+def test_cli_rejects_mistyped_numeric_fields(tmp_path, capsys, fields, message):
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps(dict({"surface": {"gamma": 0.77}, "N": 2, "degree": 12}, **fields)))
+    assert run_cli(["iterate", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 3
+    assert f"configuration error: {message}" in capsys.readouterr().err
+
+
+def test_config_accepts_an_int_for_a_real_field():
+    cfg = RunConfig.from_dict(dict(FIXTURES["cubic"], omega_window=1, convergence_floor=1))
+    assert (cfg.omega_window, cfg.convergence_floor) == (1, 1)
+
+
 def test_cli_config_error_in_preparation(tmp_path, capsys):
     # pair_from_direct raises inside prepare, after the config has loaded
     cfgp = tmp_path / "cfg.json"

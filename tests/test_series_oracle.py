@@ -126,18 +126,41 @@ def substitution_bound(h: CrownSeries, X: CrownSeries, Y: CrownSeries) -> np.nda
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("D", [12, 24])
-def test_multiply_matches_oracle(D):
+def assert_product_matches_oracle(f: CrownSeries, g: CrownSeries) -> None:
     mpmath.mp.dps = DIGITS
+    got = multiply(f, g)
+    ref = mp_multiply(mp_series(f.coeffs), mp_series(g.coeffs), f.trunc_total)
+    assert np.all(np.abs(got.coeffs - to_complex(ref)) <= product_bound(f, g))
+
+
+@pytest.mark.parametrize("D", [0, 1, 12, 24, 36])
+def test_multiply_matches_oracle(D):
     rng = np.random.default_rng(100 + D)
     # the constructor zeroes the entries given above the triangle
     above = ~_triangle_mask(D + 1)
     f = CrownSeries(decaying(rng, D) + 1e-3 * above, D)
     g = CrownSeries(decaying(rng, D), D)
     assert not np.any(f.coeffs[above])
-    got = multiply(f, g)
-    ref = mp_multiply(mp_series(f.coeffs), mp_series(g.coeffs), D)
-    assert np.all(np.abs(got.coeffs - to_complex(ref)) <= product_bound(f, g))
+    assert_product_matches_oracle(f, g)
+
+
+@pytest.mark.parametrize("columns", ["first", "last", "every-other"])
+def test_multiply_sparse_columns_match_oracle(columns):
+    # multiply drops the slots of the all-zero eta-columns of f
+    D = 12
+    rng = np.random.default_rng(7)
+    keep = {"first": [0], "last": [D], "every-other": list(range(0, D + 1, 2))}[columns]
+    c = decaying(rng, D)
+    c[:, np.setdiff1d(np.arange(D + 1), keep)] = 0.0
+    f, g = CrownSeries(c, D), CrownSeries(decaying(rng, D), D)
+    assert np.flatnonzero(f.coeffs.any(axis=0)).tolist() == keep
+    assert_product_matches_oracle(f, g)
+
+
+@pytest.mark.parametrize("D", [0, 12])
+def test_multiply_zero_factor_gives_exact_zeros(D):
+    g = CrownSeries(decaying(np.random.default_rng(D), D), D)
+    assert np.array_equal(multiply(CrownSeries.zero(D), g).coeffs, np.zeros((D + 1, D + 1)))
 
 
 def test_substitute_matches_oracle():
