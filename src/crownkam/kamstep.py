@@ -99,14 +99,11 @@ class StepGeometry:
 
     def sup_norm(self, f: CrownSeries, beta: float, r: float) -> float:
         """sup over the omega window of the crown norm at (beta, r)."""
-        return max(
-            f.crown_norm(CrownNormParams(w, beta, r, self.boundary_samples))
-            for w in self.window(beta, r)
-        )
+        return f.crown_norms(self.window(beta, r), beta, r, self.boundary_samples).max()
 
     def sup_coeff(self, h: CoeffSeries, beta: float, r: float) -> float:
         """sup over the omega window at (beta, r) of the disk max of h."""
-        return max(h.disk_max(w, beta, self.boundary_samples) for w in self.window(beta, r))
+        return h.disk_max(self.window(beta, r), beta, self.boundary_samples)
 
 
 @dataclass
@@ -163,12 +160,9 @@ def divisor_minimum(
     inversions at z = 0, so a resonance there degrades the representation
     even when every sampled omega is clear of it.
     """
-    worst = np.inf
-    for w in tuple(geom.omega_samples) + (0.0,):
-        avals = alpha.eval(_circle(w, beta, geom.boundary_samples))
-        for n in range(1, n_max + 1):
-            worst = min(worst, float(np.min(np.abs(np.exp(1j * n * avals) - 1.0))))
-    return float(worst)
+    avals = alpha.eval(_circle(tuple(geom.omega_samples) + (0.0,), beta, geom.boundary_samples))
+    ns = 1j * np.arange(1, n_max + 1)[:, None, None]
+    return float(np.min(np.abs(np.exp(ns * avals) - 1.0), initial=np.inf))
 
 
 def calibrate_delta(alpha: CoeffSeries, D: int, geom: StepGeometry, delta: float) -> float:

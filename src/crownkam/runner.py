@@ -422,42 +422,48 @@ def full_chain(state: KamState) -> list:
 
 def extract_curve(state: KamState, omega: float, n_pts: int) -> CurveResult:
     """Evaluate the conjugacy on {xi eta = omega} against the original map."""
-    if omega not in state.O:
-        raise SeriesError(f"omega = {omega} was excluded by the sieve")
-    if n_pts < 1:
-        raise SeriesError("need n_pts >= 1")
+    return extract_curves(state, [omega], n_pts)[0]
+
+
+def extract_curves(state: KamState, omegas, n_pts: int) -> list[CurveResult]:
+    """``extract_curve`` at every omega, with one chain pass and one sigma
+    evaluation over all curves' points; raises on the first rejected omega."""
     R = state.r
-    if abs(omega) >= R * R:
-        raise SeriesError("omega outside the final window")
-    mu = float(state.pair.alpha.eval(omega).real)
-    links = full_chain(state)
-    sigma1, sigma2 = state.sigma_o
-
-    lo, hi = abs(omega) / R, R
+    for omega in omegas:
+        if omega not in state.O:
+            raise SeriesError(f"omega = {omega} was excluded by the sieve")
+        if n_pts < 1:
+            raise SeriesError("need n_pts >= 1")
+        if abs(omega) >= R * R:
+            raise SeriesError("omega outside the final window")
+    if len(omegas) == 0:
+        return []
+    mus = [float(state.pair.alpha.eval(omega).real) for omega in omegas]
     n_mod = max(2, int(np.ceil(n_pts / 8)))
-    mods = np.exp(np.linspace(np.log(lo * 1.05), np.log(hi * 0.95), n_mod))
     args = 2.0 * np.pi * np.arange(8) / 8.0
-    x0 = (mods[:, None] * np.exp(1j * args)).ravel()[:max(n_pts, 8)]
-    y0 = omega / x0
-
-    rot = np.exp(1j * mu)
-    X, Y = chain_apply(links, x0, y0)
-    Xr, Yr = chain_apply(links, rot * x0, y0 / rot)
-    Xc, Yc = chain_apply(links, np.conj(x0), np.conj(y0))
-    resid = float(max(
-        np.max(np.abs(sigma1.eval(X, Y) - Xr)),
-        np.max(np.abs(sigma2.eval(X, Y) - Yr)),
-    ))
-    rho_resid = float(max(
-        np.max(np.abs(Xc - np.conj(X))),
-        np.max(np.abs(Yc - np.conj(Y))),
-    ))
-    samples = np.column_stack([x0.real, x0.imag, X.real, X.imag, Y.real, Y.imag]).tolist()
+    # axes: point set (plain, rotated by e^{i mu}, conjugated), curve, point
+    pts = []
+    for omega, mu in zip(omegas, mus):
+        mods = np.exp(np.linspace(np.log(abs(omega) / R * 1.05), np.log(R * 0.95), n_mod))
+        x0 = (mods[:, None] * np.exp(1j * args)).ravel()[:max(n_pts, 8)]
+        y0 = omega / x0
+        rot = np.exp(1j * mu)
+        pts.append([(x0, y0), (rot * x0, y0 / rot), (np.conj(x0), np.conj(y0))])
+    x0s, y0s = np.array(pts).transpose(2, 1, 0, 3).copy()
+    X, Y = chain_apply(full_chain(state), x0s, y0s)
+    sigma1, sigma2 = state.sigma_o
+    resid = np.maximum(np.max(np.abs(sigma1.eval(X[0], Y[0]) - X[1]), axis=1),
+                       np.max(np.abs(sigma2.eval(X[0], Y[0]) - Y[1]), axis=1))
+    rho_resid = np.maximum(np.max(np.abs(X[2] - np.conj(X[0])), axis=1),
+                           np.max(np.abs(Y[2] - np.conj(Y[0])), axis=1))
     tail = 0.0
     if len(state.eps_measured) >= 2 and state.eps_measured[-2] > 0:
         ratio = min(0.5, state.eps_measured[-1] / state.eps_measured[-2])
         tail = state.eps_measured[-1] ** 0.8 * ratio / max(1e-300, 1.0 - ratio)
-    return CurveResult(omega, mu, resid, rho_resid, tail, samples)
+    samples = np.stack([x0s[0].real, x0s[0].imag, X[0].real, X[0].imag, Y[0].real, Y[0].imag],
+                       axis=-1)
+    return [CurveResult(omega, mu, float(res), float(rho), tail, rows.tolist())
+            for omega, mu, res, rho, rows in zip(omegas, mus, resid, rho_resid, samples)]
 
 
 def smoothness_diagnostic(results: list[CurveResult]) -> dict:
@@ -597,13 +603,10 @@ def run_pipeline(config: RunConfig) -> tuple[KamState, dict, list]:
         "prelim_links": [l.label for l in state.prelim_chain],
         "step_links": [[l.label for l in links] for links in state.chain],
     }
-    curves = []
     picked, excluded = select_omegas(state, config.omega_count, config.omega_window)
-    for w in picked:
-        try:
-            curves.append(extract_curve(state, w, config.n_curve_points))
-        except SeriesError:
-            continue
+    # select_omegas picks only surviving omegas; the final window drops the rest
+    curves = extract_curves(state, [w for w in picked if abs(w) < state.r**2],
+                            config.n_curve_points)
     record["curves"] = [
         {
             "omega": c.omega,

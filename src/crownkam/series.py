@@ -45,11 +45,13 @@ class SeriesError(ValueError):
     """Raised on malformed operands or violated preconditions."""
 
 
-def _circle(omega: float, beta: float, n: int) -> np.ndarray:
+def _circle(omega, beta: float, n: int) -> np.ndarray:
     """n points of |z - omega| = beta, or omega alone when beta = 0: the
-    samples of every sampled disk sup."""
+    samples of every sampled disk sup.  An array of centres gets one row
+    of points per centre, each with the bits of a lone centre's circle."""
+    omega = np.asarray(omega, dtype=np.complex128)[..., None]
     if beta == 0.0:
-        return np.array([omega], dtype=np.complex128)
+        return omega
     th = 2.0 * np.pi * np.arange(n) / n
     return omega + beta * np.exp(1j * th)
 
@@ -179,8 +181,9 @@ class CoeffSeries:
             out = out * z + self.coeffs[k]
         return out if out.shape else complex(out)
 
-    def disk_max(self, omega: float, beta: float, n_samples: int = 64) -> float:
-        """max |f| over the circle |z - omega| = beta (maximum modulus).
+    def disk_max(self, omega, beta: float, n_samples: int = 64) -> float:
+        """max |f| over the circle |z - omega| = beta (maximum modulus), or
+        over the circles around every centre of an array omega, in one pass.
 
         beta = 0 degenerates to evaluation at omega.
         """
@@ -488,24 +491,29 @@ class CrownSeries:
     def crown_norm(self, np_: CrownNormParams) -> float:
         """||f||_{omega,beta,r}, each disk sup sampled at ``boundary_samples``
         points of |z - omega| = beta: a lower estimate of the true norm."""
+        return self.crown_norms((np_.omega,), np_.beta, np_.radius, np_.boundary_samples)[0]
+
+    def crown_norms(self, omegas, beta: float, radius: float, boundary_samples: int = 64):
+        """``crown_norm`` at each of ``omegas``, checked as CrownNormParams does.
+
+        One Horner runs over every crown coefficient f_lj and every circle
+        point at once; the zero padding above a row's own degree leaves its
+        values unchanged.  Each norm sums sup * r^(l+j) over the rows in
+        crown order, so it has the bits of a lone omega's norm.
+        """
+        for w in omegas:
+            CrownNormParams(w, beta, radius, boundary_samples)
         D = self.trunc_total
         rows, cols, degree = _crown_index(D)
         padded = np.zeros((D + 2, D + 2), dtype=np.complex128)
         padded[: D + 1, : D + 1] = self.coeffs
         crown = padded[rows, cols]
-        # one Horner over every crown coefficient f_lj at once; the zero
-        # padding above a row's own degree leaves its values unchanged
-        zs = _circle(np_.omega, np_.beta, np_.boundary_samples)
+        zs = _circle(omegas, beta, boundary_samples)
         vals = np.repeat(crown[:, -1:], zs.size, axis=1)
         for k in range(crown.shape[1] - 2, -1, -1):
-            vals = vals * zs + crown[:, k : k + 1]
-        sups = np.max(np.abs(vals), axis=1).tolist()
-        rpow = np_.radius ** np.arange(D + 1)
-        total = 0.0
-        for m, d in zip(sups, degree.tolist()):
-            if m != 0.0:
-                total += m * rpow[d]
-        return total
+            vals = vals * zs.ravel() + crown[:, k : k + 1]
+        sups = np.max(np.abs(vals).reshape(-1, *zs.shape), axis=2)
+        return np.cumsum(sups * (radius ** np.arange(D + 1))[degree, None], axis=0)[-1]
 
     def full_norm(self, r: float) -> float:
         """|f|_r = sum |a[m,n]| r^(m+n) (plain weighted 1-norm)."""
@@ -594,7 +602,7 @@ class CrownSeries:
         """h(X(xi,eta), Y(xi,eta)) in the truncated ring (Horner in both slots)."""
         self._matched(X)
         X._matched(Y)
-        return _horner(self, X, _powers(Y))
+        return _horner(self, _truncations(X), _powers(Y))
 
     def compose_z(self, h: CoeffSeries) -> "CrownSeries":
         """h(self): univariate h evaluated on a bivariate argument (Horner)."""
@@ -679,13 +687,18 @@ def multiply(f: CrownSeries, g: CrownSeries) -> CrownSeries:
     return CrownSeries._adopt(out, D)
 
 
-def _powers(Y: CrownSeries) -> list[CrownSeries]:
-    """Y^0, ..., Y^D in the truncated ring."""
+def _powers(Y: CrownSeries) -> np.ndarray:
+    """Y^0, ..., Y^D in the truncated ring, as the raveled rows of one
+    (D+1, (D+1)^2) table; each power is ``multiply(Y^(n-1), Y)``."""
     D = Y.trunc_total
-    out = [CrownSeries.constant(1.0, D), Y]
-    for _ in range(D - 1):
-        out.append(multiply(out[-1], Y))
-    return out[: D + 1]
+    table = np.zeros((D + 1, (D + 1) ** 2), dtype=np.complex128)
+    table[0, 0] = 1.0
+    power = Y
+    for n in range(1, D + 1):
+        if n > 1:
+            power = multiply(power, Y)
+        table[n] = power.coeffs.ravel()
+    return table
 
 
 def _resized(f: CrownSeries, d: int) -> CrownSeries:
@@ -700,29 +713,36 @@ def _resized(f: CrownSeries, d: int) -> CrownSeries:
     return CrownSeries._adopt(out, d)
 
 
-def _horner(h: CrownSeries, X: CrownSeries, ypow: list[CrownSeries]) -> CrownSeries:
-    """h(X, Y) = sum_m X^m row_m(Y) by Horner in X, given the powers of Y.
+def _truncations(X: CrownSeries) -> list[CrownSeries]:
+    """X at the truncation of each Horner row m of a composition with X.
 
-    When X(0,0) = 0, the accumulator of row m only reaches the result through
-    X^m, so it and its Horner product are formed at truncation d = D - m;
-    otherwise every row runs at d = D.  Each row_m = sum_n a_mn Y^n is summed
-    on the leading (d+1)^2 block; terms above degree d are never formed.
+    When X(0,0) = 0, the accumulator of row m only reaches the result
+    through X^m, so row m runs at d = D - m; otherwise every row runs at D.
+    """
+    D = X.trunc_total
+    shrink = int(X.coeffs[0, 0] == 0)
+    return [_resized(X, D - m * shrink) for m in range(D + 1)]
+
+
+def _horner(h: CrownSeries, xs: list[CrownSeries], table: np.ndarray) -> CrownSeries:
+    """h(X, Y) = sum_m X^m row_m(Y) by Horner in X, given X at each row's
+    truncation (``_truncations``) and the powers of Y (``_powers``).
+
+    Every row_m = sum_n a_mn Y^n comes from one matrix product with the
+    power table; row m is then cut to the leading (d+1)^2 block of its
+    truncation d, above its triangle zeroed.
     """
     D = h.trunc_total
-    a = h.coeffs
-    shrink = int(X.coeffs[0, 0] == 0)
+    rows = (h.coeffs @ table).reshape(D + 1, D + 1, D + 1)
     acc = None
     for m in range(D, -1, -1):
-        d = D - m * shrink
-        row = np.zeros((d + 1, d + 1), dtype=np.complex128)
-        for n in np.flatnonzero(a[m, : D - m + 1]):
-            row += ypow[n].coeffs[: d + 1, : d + 1] * a[m, n]
-        if d < D:
-            row[~_triangle_mask(d + 1)] = 0.0
+        d = xs[m].trunc_total
+        row = rows[m, : d + 1, : d + 1]
+        row[~_triangle_mask(d + 1)] = 0.0
         if acc is None:
-            acc = CrownSeries._adopt(row, d)
+            acc = CrownSeries._adopt(row.copy(), d)
         else:
-            prod = multiply(_resized(acc, d), _resized(X, d))
+            prod = multiply(_resized(acc, d), xs[m])
             acc = CrownSeries._adopt(prod.coeffs + row, d)
     return acc
 
@@ -779,14 +799,15 @@ def identity_pair(D: int) -> MapPair:
 def substitute_pair(F: MapPair, G: MapPair) -> MapPair:
     """Composition F(G) of maps given as coefficient-series pairs.
 
-    The powers of G's second component are computed once for both rows.
+    The powers of G's second component and the truncations of its first
+    are computed once for both components.
     """
     X, Y = G
     F[0]._matched(F[1])
     F[0]._matched(X)
     X._matched(Y)
-    ypow = _powers(Y)
-    return (_horner(F[0], X, ypow), _horner(F[1], X, ypow))
+    xs, table = _truncations(X), _powers(Y)
+    return (_horner(F[0], xs, table), _horner(F[1], xs, table))
 
 
 def invert_near_identity(

@@ -377,6 +377,61 @@ def test_sup_coeff_raises_on_empty_window():
         outside_window(geom).sup_coeff(desk_alpha(), geom.beta, geom.r)
 
 
+def lone_circle(w, beta, n):
+    if beta == 0.0:
+        return np.array([w], dtype=np.complex128)
+    return w + beta * np.exp(1j * (2.0 * np.pi * np.arange(n) / n))
+
+
+def lone_disk_max(h, w, beta, n):
+    return float(np.max(np.abs(h.eval(lone_circle(w, beta, n)))))
+
+
+def lone_crown_norm(f, w, beta, r, n):
+    """The crown norm at one omega, entry by entry, summed in crown order."""
+    total = 0.0
+    for l, j, h in f.crown_decompose():
+        m = lone_disk_max(h, w, beta, n)
+        if m != 0.0:
+            total += m * r ** np.arange(f.trunc_total + 1)[l + j]
+    return total
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.002])
+@pytest.mark.parametrize("n_samples", [5, 1])
+def test_window_sups_equal_the_one_omega_maximum(beta, n_samples):
+    # the one pass over the window keeps the bits of omega-by-omega sups
+    t = generic_instance(7, 4e-4)
+    geom = desk_geometry(eps=1e-3, delta=0.1)
+    geom = dataclasses.replace(geom, omega_samples=geom.omega_samples[:n_samples])
+    # every power of z counts: the coefficients grow like the window's 1/|z|
+    c = np.random.default_rng(8).standard_normal((7, 2)) @ [1.0, 1j]
+    h = CoeffSeries(c * 50.0 ** np.arange(7))
+    ws, n = geom.window(beta, geom.r), geom.boundary_samples
+    assert len(ws) == n_samples
+    assert geom.sup_norm(t.p, beta, geom.r) == max(
+        lone_crown_norm(t.p, w, beta, geom.r, n) for w in ws)
+    assert geom.sup_coeff(h, beta, geom.r) == max(lone_disk_max(h, w, beta, n) for w in ws)
+    with pytest.raises(SeriesError, match="window"):
+        outside_window(geom).sup_norm(t.p, beta, geom.r)
+    with pytest.raises(SeriesError, match="window"):
+        outside_window(geom).sup_coeff(h, beta, geom.r)
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.002])
+@pytest.mark.parametrize("n_samples", [5, 1, 0])
+def test_divisor_minimum_equals_the_one_omega_minimum(beta, n_samples):
+    alpha = CoeffSeries(np.array([LAM, 1.0, -3.0, 40.0]), real=True)
+    geom = desk_geometry(eps=1e-3, delta=0.1)
+    geom = dataclasses.replace(geom, omega_samples=geom.omega_samples[:n_samples])
+    want = np.inf
+    for w in geom.omega_samples + (0.0,):
+        avals = alpha.eval(lone_circle(w, beta, geom.boundary_samples))
+        for k in range(1, 14):
+            want = min(want, float(np.min(np.abs(np.exp(1j * k * avals) - 1.0))))
+    assert divisor_minimum(alpha, geom, 13, beta) == want
+
+
 def test_main_step_s2_twist():
     # second-order twist alpha = lam + z^2: geometry powers and the
     # derivative ladder run at s = 2 and the step still contracts

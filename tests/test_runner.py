@@ -12,12 +12,16 @@ from crownkam.runner import (
     CurveResult,
     RunConfig,
     extract_curve,
+    extract_curves,
+    full_chain,
     pair_from_direct,
     run_cli,
     run_pipeline,
+    select_omegas,
     smoothness_diagnostic,
 )
 from crownkam.series import SeriesError
+from crownkam.transforms import chain_apply
 
 
 @pytest.fixture(scope="module")
@@ -218,6 +222,65 @@ def test_extract_curve_rejects_excluded(cubic_run):
             extract_curve(state, gap["omega"], 8)
     with pytest.raises(SeriesError):
         extract_curve(state, state.r**2 * 5, 8)
+
+
+def assert_same_curves(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.omega, g.mu_omega, g.chain_tail) == (w.omega, w.mu_omega, w.chain_tail)
+        assert g.conjugacy_residual == w.conjugacy_residual
+        assert g.rho_equivariance_residual == w.rho_equivariance_residual
+        assert np.array(g.samples).tobytes() == np.array(w.samples).tobytes()
+
+
+def lone_curve(state, omega, n_pts):
+    """One curve with its own three chain passes and sigma evaluation."""
+    R = state.r
+    mu = float(state.pair.alpha.eval(omega).real)
+    links = full_chain(state)
+    n_mod = max(2, int(np.ceil(n_pts / 8)))
+    mods = np.exp(np.linspace(np.log(abs(omega) / R * 1.05), np.log(R * 0.95), n_mod))
+    x0 = (mods[:, None] * np.exp(1j * 2.0 * np.pi * np.arange(8) / 8.0)).ravel()[:max(n_pts, 8)]
+    y0 = omega / x0
+    rot = np.exp(1j * mu)
+    X, Y = chain_apply(links, x0, y0)
+    Xr, Yr = chain_apply(links, rot * x0, y0 / rot)
+    Xc, Yc = chain_apply(links, np.conj(x0), np.conj(y0))
+    sigma1, sigma2 = state.sigma_o
+    resid = float(max(np.max(np.abs(sigma1.eval(X, Y) - Xr)),
+                      np.max(np.abs(sigma2.eval(X, Y) - Yr))))
+    rho = float(max(np.max(np.abs(Xc - np.conj(X))), np.max(np.abs(Yc - np.conj(Y)))))
+    samples = np.column_stack([x0.real, x0.imag, X.real, X.imag, Y.real, Y.imag]).tolist()
+    return CurveResult(omega, mu, resid, rho, extract_curve(state, omega, n_pts).chain_tail,
+                       samples)
+
+
+@pytest.mark.parametrize("run", ["linear_run", "cubic_run"])
+def test_extract_curves_matches_one_curve_at_a_time(run, request):
+    # one chain pass over every curve keeps each curve's bits
+    state, record, curves = request.getfixturevalue(run)
+    omegas = [c.omega for c in curves]
+    for n_pts in (8, 20):
+        got = extract_curves(state, omegas, n_pts)
+        assert_same_curves(got, [extract_curve(state, w, n_pts) for w in omegas])
+        assert_same_curves(got, [lone_curve(state, w, n_pts) for w in omegas])
+    assert extract_curves(state, [], 8) == []
+    with pytest.raises(SeriesError, match="final window"):
+        extract_curves(state, omegas + [state.r**2], 8)
+
+
+def test_full_omega_window_drops_the_window_edge():
+    # omega_window 1 reaches |omega| = r^2, which extract_curve rejects
+    cfg = RunConfig.from_dict(dict(FIXTURES["cubic"], omega_window=1))
+    state, record, curves = run_pipeline(cfg)
+    picked, _ = select_omegas(state, cfg.omega_count, cfg.omega_window)
+    edge = [w for w in picked if abs(w) >= state.r**2]
+    assert len(edge) == 2 and len(curves) == len(picked) - 2 == 16
+    for w in edge:
+        with pytest.raises(SeriesError, match="final window"):
+            extract_curve(state, w, cfg.n_curve_points)
+    assert_same_curves(curves, [lone_curve(state, c.omega, cfg.n_curve_points)
+                                for c in curves])
 
 
 def test_cubic_curves_conjugacy(cubic_run):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from crownkam.series import (
+    _powers,
     CoeffSeries,
     CrownNormParams,
     CrownSeries,
@@ -607,3 +608,21 @@ def test_eval_has_the_bits_of_the_nested_loop(D):
             assert type(got) is type(want)
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
     assert type(f.eval(0.1, 0.2)) is complex
+
+
+@pytest.mark.parametrize("D", [0, 1, 12])
+def test_power_table_rows_are_the_sequential_powers(D):
+    # row n of the table is Y^n from n - 1 sequential products, bit for bit
+    Y = random_crown(np.random.default_rng(D), D, 0.5)
+    want = CrownSeries.constant(1.0, D)
+    table = _powers(Y)
+    assert table.shape == (D + 1, (D + 1) ** 2)
+    for n in range(D + 1):
+        assert table[n].tobytes() == want.coeffs.tobytes()
+        want = Y if n == 0 else multiply(want, Y)
+
+
+def test_substitute_at_degree_zero():
+    h, X, Y = (CrownSeries.constant(c, 0) for c in (2.0, 3.0, 5.0))
+    assert h.substitute(X, Y).coeffs.tolist() == [[2.0]]
+    assert [f.coeffs.tolist() for f in substitute_pair((h, X), (X, Y))] == [[[2.0]], [[3.0]]]

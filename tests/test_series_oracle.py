@@ -194,17 +194,17 @@ def test_substitute_pair_matches_oracle():
 
 
 def full_degree_substitute(h: CrownSeries, X: CrownSeries, Y: CrownSeries) -> CrownSeries:
-    """h(X, Y) by Horner in X with every accumulator at the full degree D."""
+    """h(X, Y) by Horner in X with every accumulator at the full degree D;
+    the rows sum_n a_mn Y^n come from one product with the stacked powers."""
     D = h.trunc_total
-    a = h.coeffs
     ypow = [CrownSeries.constant(1.0, D), Y]
     for _ in range(D - 1):
         ypow.append(multiply(ypow[-1], Y))
+    table = np.stack([p.coeffs.ravel() for p in ypow[: D + 1]])
+    rows = (h.coeffs @ table).reshape(D + 1, D + 1, D + 1)
     acc = None
     for m in range(D, -1, -1):
-        row = np.zeros((D + 1, D + 1), dtype=np.complex128)
-        for n in np.flatnonzero(a[m, : D - m + 1]):
-            row += ypow[n].coeffs * a[m, n]
+        row = rows[m]
         if acc is None:
             acc = CrownSeries(row, D)
         else:
