@@ -547,14 +547,19 @@ def write_curves_csv(out_dir: str, curves: list[CurveResult], hyperbolas: list[d
                ["omega", "mu_omega", "conjugacy_residual", "rho_residual", "chain_tail"],
                [[c.omega, c.mu_omega, c.conjugacy_residual, c.rho_equivariance_residual,
                  c.chain_tail] for c in curves])
-    _write_csv(os.path.join(out_dir, "curves.csv"),
-               ["omega", "re_xi", "im_xi", "re_x", "im_x", "re_y", "im_y"],
-               [[c.omega] + row for c in curves for row in c.samples])
     plot_dir = os.path.join(out_dir, "plotdata")
     os.makedirs(plot_dir, exist_ok=True)
-    for i, c in enumerate(curves):
-        _write_csv(os.path.join(plot_dir, f"curve_{i:03d}.csv"), ["re_x", "im_x", "re_y", "im_y"],
-                   [row[2:] for row in c.samples])
+
+    def sample_rows():
+        # one curve's samples at a time, formatted once for its plot file and curves.csv
+        for i, c in enumerate(curves):
+            omega, cells = repr(float(c.omega)), [list(map(repr, row)) for row in c.samples]
+            _write_csv(os.path.join(plot_dir, f"curve_{i:03d}.csv"),
+                       ["re_x", "im_x", "re_y", "im_y"], [row[2:] for row in cells])
+            yield from ([omega] + row for row in cells)
+
+    _write_csv(os.path.join(out_dir, "curves.csv"),
+               ["omega", "re_xi", "im_xi", "re_x", "im_x", "re_y", "im_y"], sample_rows())
     if hyperbolas:
         cols = ["omega", "arg_index", "re_z1", "im_z1", "re_z2", "im_z2", "is_real_branch"]
         _write_csv(os.path.join(out_dir, "hyperbolas.csv"), cols,

@@ -7,9 +7,10 @@ the only difference left is the kernel's own rounding.  A product
 coefficient is a sum of at most (D+1)^2 complex products, which bounds its
 error by 2(D+1)^2 eps times the same coefficient of |f| * |g|.  The
 order-truncated composition is checked against the full-degree Horner it
-replaced, by its coefficients and by the degrees of its products.  The inverters
-are checked against both composition orders, against the fixed-point
-iteration they replaced, and by their pass count.
+replaced, by its coefficients and by the degrees of its products, and the
+graded operator that composes at D <= 16 against ``multiply`` and the
+oracle.  The inverters are checked against both composition orders, against
+the fixed-point iteration they replaced, and by their pass count.
 """
 
 import mpmath
@@ -223,12 +224,69 @@ def test_truncated_composition_matches_full_degree_horner(D, seed, x00):
     pair = substitute_pair(F, (X, Y))
     for k in range(2):
         ref = full_degree_substitute(F[k], X, Y)
+        horner = series._horner(F[k], series._truncations(X), series._powers(Y))
+        if x00 == 0.0:
+            assert np.all(np.abs(horner.coeffs - ref.coeffs) <= substitution_bound(F[k], X, Y))
+        else:
+            # every row runs at degree D: the full-degree arithmetic
+            assert horner.coeffs.tobytes() == ref.coeffs.tobytes()
+        # at D <= 14 the public calls run on the graded operator, which sums
+        # each coefficient in its own order
         for got in (F[k].substitute(X, Y), pair[k]):
-            if x00 == 0.0:
-                assert np.all(np.abs(got.coeffs - ref.coeffs) <= substitution_bound(F[k], X, Y))
-            else:
-                # every row runs at degree D: the full-degree arithmetic
-                assert got.coeffs.tobytes() == ref.coeffs.tobytes()
+            assert np.all(np.abs(got.coeffs - ref.coeffs) <= substitution_bound(F[k], X, Y))
+
+
+def graded_product(f: CrownSeries, g: CrownSeries) -> CrownSeries:
+    """f*g as the graded operator of f applied to the graded vector of g."""
+    D = f.trunc_total
+    flat = series._graded(D)[0]
+    out = np.zeros((D + 1) ** 2, dtype=complex)
+    out[flat] = series._operator(f) @ g.coeffs.ravel()[flat]
+    return CrownSeries(out.reshape(D + 1, D + 1), D)
+
+
+@pytest.mark.parametrize("D, columns", [(0, None), (1, None), (12, None), (16, None),
+                                        (12, "first"), (12, "last"), (12, "every-other")])
+def test_graded_operator_matches_multiply(D, columns):
+    mpmath.mp.dps = DIGITS
+    rng = np.random.default_rng(600 + D)
+    c = decaying(rng, D)
+    if columns is not None:
+        # the sparse-column factors of test_multiply_sparse_columns_match_oracle
+        keep = {"first": [0], "last": [D], "every-other": list(range(0, D + 1, 2))}[columns]
+        c[:, np.setdiff1d(np.arange(D + 1), keep)] = 0.0
+    f, g = CrownSeries(c, D), CrownSeries(decaying(rng, D), D)
+    got, bound = graded_product(f, g).coeffs, product_bound(f, g)
+    ref = to_complex(mp_multiply(mp_series(f.coeffs), mp_series(g.coeffs), D))
+    assert np.all(np.abs(got - ref) <= bound)
+    assert np.all(np.abs(got - multiply(f, g).coeffs) <= bound)
+    assert series._graded(D)[2].size == (D + 1) * (D + 2) * (D + 3) * (D + 4) // 24
+
+
+@pytest.mark.parametrize("D", [16, 17])
+@pytest.mark.parametrize("x00", [0.0, 0.05])
+def test_composition_on_both_sides_of_the_graded_threshold(D, x00, monkeypatch):
+    # D <= GRADED_MAX_DEGREE composes on the graded operator without a
+    # multiply; above it the truncated Horner multiplies
+    calls = []
+
+    def counted(f, g):
+        calls.append(1)
+        return multiply(f, g)
+
+    rng = np.random.default_rng(700 + D)
+    F = (CrownSeries(decaying(rng, D), D), CrownSeries(decaying(rng, D), D))
+    xi, eta = identity_pair(D)
+    X = xi + CrownSeries(decaying(rng, D, 0.1, 1), D) + x00
+    Y = eta + CrownSeries(decaying(rng, D, 0.1), D)
+    refs = [full_degree_substitute(h, X, Y) for h in F]
+    monkeypatch.setattr(series, "multiply", counted)
+    pair = substitute_pair(F, (X, Y))
+    assert bool(calls) == (D == 17)
+    for k in range(2):
+        alone = F[k].substitute(X, Y)
+        assert pair[k].coeffs.tobytes() == alone.coeffs.tobytes()
+        assert np.all(np.abs(alone.coeffs - refs[k].coeffs) <= substitution_bound(F[k], X, Y))
 
 
 def test_truncated_composition_work(monkeypatch):
