@@ -30,6 +30,7 @@ from .series import (
     rotation_factor,
     substitute_pair,
 )
+from .sieve import IntervalSet
 from .transforms import PolyLink, ScalingLink, poly_link_from_U
 
 
@@ -45,7 +46,8 @@ class StepGeometry:
 
     Every sampled sup runs over ``window``, the omega samples with
     |omega| < r^2 - beta, and ``boundary_samples`` points of each circle; an
-    empty window raises, so no check passes with nothing measured.
+    empty window raises, so no check passes with nothing measured.  The
+    samples come from ``window_samples``.
     """
 
     r: float
@@ -106,6 +108,14 @@ class StepGeometry:
         return h.disk_max(self.window(beta, r), beta, self.boundary_samples)
 
 
+def window_samples(O: IntervalSet, lim: float) -> tuple:
+    """Five points of O inside |omega| <= lim; raises when there are none."""
+    pts = O.intersect(IntervalSet.interval(-lim, lim)).sample(5)
+    if pts.size == 0:
+        raise SeriesError("surviving parameter set is empty in the working window")
+    return tuple(float(x) for x in pts)
+
+
 @dataclass
 class StepReport:
     """Measured-versus-bound bookkeeping of one step; serializes to a dict."""
@@ -131,17 +141,14 @@ class StepReport:
 def truncate_K(
     p: CrownSeries, q: CrownSeries, K: float, geom: StepGeometry | None = None
 ) -> tuple[CrownSeries, CrownSeries, float]:
-    """Keep crown indices l, j <= floor(K); returns the measured tail norm."""
+    """Keep crown indices l, j <= floor(K), i.e. the a[m, n] with
+    |m - n| <= floor(K); returns the measured tail norm."""
     if K < 1:
         raise SeriesError("K must be >= 1")
     D = p._matched(q)
-    kc = int(np.floor(K))
-
-    def cut(f):
-        entries = [(l, j, h) for l, j, h in f.crown_decompose() if max(l, j) <= kc]
-        return CrownSeries.crown_reassemble(entries, D)
-
-    pK, qK = cut(p), cut(q)
+    m, n = np.indices((D + 1, D + 1))
+    keep = np.abs(m - n) <= np.floor(K)
+    pK, qK = (CrownSeries(np.where(keep, f.coeffs, 0.0), D) for f in (p, q))
     tail = 0.0
     if geom is not None:
         tail = max(
@@ -301,9 +308,7 @@ def conjugate_step(
     D = t.trunc_total
     # invertibility needs room relative to the radii; the crown containment
     # itself is checked a posteriori (crown_escape_margin)
-    w = geom.window(geom.beta_tilde, geom.r7)[0]
-    np_guard = CrownNormParams(w, geom.beta_tilde, geom.r7, geom.boundary_samples)
-    u_size = uv[0].crown_norm(np_guard) + uv[1].crown_norm(np_guard)
+    u_size = sum(geom.sup_norm(u, geom.beta_tilde, geom.r7) for u in uv)
     if u_size >= (geom.r7 - geom.r_plus) / 8.0:
         raise SeriesError(f"conjugating map too large to invert: ||U|| = {u_size:.3g}")
     phi_inv_tail = invert_near_identity(uv)

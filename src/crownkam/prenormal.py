@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .involution import InvolutionPair, skew_term, split_pair
-from .kamstep import StepGeometry, calibrate_delta, main_step
+from .kamstep import StepGeometry, calibrate_delta, main_step, window_samples
 from .series import (
     CoeffSeries,
     CrownSeries,
@@ -30,10 +30,16 @@ from .series import (
     invert_near_identity,
     substitute_pair,
 )
+from .sieve import IntervalSet
 from .transforms import RadialLink, ScalingLink, poly_link_from_U
 
 DIVISOR_FLOOR = 1e-8
 DEGENERACY_TOL = 1e-12
+# radius search: first radius, halvings allowed, and the trial step's
+# acceptance p_+ <= A^CONTRACTION_EXPONENT
+R_START = 0.24
+MAX_HALVINGS = 40
+CONTRACTION_EXPONENT = 1.15
 
 
 def poincare_dulac(
@@ -246,31 +252,19 @@ def practical_beta(eps: float, s: int, r: float) -> float:
     return min(eps ** (1.0 / (40.0 * s)), r * r / 8.0)
 
 
-def omega_window_samples(r: float, beta: float, count: int = 5) -> tuple:
-    lim = r * r - beta
-    return tuple(np.linspace(-0.6 * lim, 0.6 * lim, count))
-
-
-def radius_search(
-    prepared: InvolutionPair,
-    N: int,
-    mode: str = "practical",
-    r_start: float = 0.24,
-    max_halvings: int = 40,
-    contraction_exponent: float = 1.15,
-) -> RadiusResult:
+def radius_search(prepared: InvolutionPair) -> RadiusResult:
     """Shrink r_* until the iteration entry predicate holds, then branch.
 
-    Rigorous mode evaluates the verbatim smallness inequality (and
-    typically reports infeasibility at desk scale); practical mode accepts
-    r_* once one trial step contracts the measured perturbation to
-    eps^{1.15}.  The branch test compares the skew term against A^{3/2}/3.
+    r_* is accepted once one trial step contracts the measured perturbation
+    to eps^{1.15}; the verbatim smallness inequality is evaluated and
+    reported but never met at double precision.  The branch test compares
+    the skew term against A^{3/2}/3.
     """
     s = prepared.s_order
     lam = float(prepared.alpha.coeffs[0].real)
-    r = r_start
+    r = R_START
     last_error = None
-    for _ in range(max_halvings):
+    for _ in range(MAX_HALVINGS):
         A = 10.0 * max(prepared.p.full_norm(r), prepared.q.full_norm(r))
         alpha_conditions = _alpha_conditions(prepared.alpha, lam, s, r)
         lhs = smallness_lhs(A, s, r)
@@ -280,18 +274,10 @@ def radius_search(
                 r, A, "case1", A, 0.0, 0.0, rigorous_ok, lhs, alpha_conditions
             )
         beta = practical_beta(A, s, r)
-        omegas = omega_window_samples(r, beta)
-        if mode == "rigorous":
-            accepted, trial = rigorous_ok, None
-            last_error = f"verbatim smallness inequality lhs = {lhs:.3g} at r = {r:.3g}"
-        else:
-            accepted, trial, last_error = _trial_contracts(
-                prepared, A, r, beta, omegas, s, contraction_exponent
-            )
-        if accepted:
-            geom = StepGeometry(
-                r, 0.75 * r, beta, eps=A, delta=1.0, s=s, omega_samples=omegas
-            )
+        omegas = window_samples(IntervalSet.interval(-r * r, r * r), r * r - beta)
+        geom = StepGeometry(r, 0.75 * r, beta, eps=A, delta=1.0, s=s, omega_samples=omegas)
+        trial, last_error = _trial_step(prepared, geom)
+        if trial is not None and trial["p_plus"] <= trial["target"]:
             skew = geom.sup_norm(skew_term(prepared), beta, r)
             threshold = A**1.5 / 3.0
             branch = "case1" if skew < threshold else "case2"
@@ -308,38 +294,47 @@ def radius_search(
     )
 
 
-def _alpha_conditions(alpha: CoeffSeries, lam: float, s: int, r: float) -> dict:
-    zs = np.linspace(-r * r, r * r, 201)
-    out = {
-        "sup_alpha_minus_lambda": float(np.max(np.abs(alpha.eval(zs) - lam))),
-        "bound_alpha_minus_lambda": 1.0 / 8.0,
-    }
-    ds = alpha.derivative(s)
+def alpha_window_sups(alpha: CoeffSeries, s: int, lim: float) -> tuple:
+    """alpha on 201 points of [-lim, lim], and the sups there of
+    ||alpha^(s)| - s!|, of |alpha^(k)| over s < k <= 16s and of |alpha^(k)|
+    over 0 < k < s (0.0 for an empty range of k)."""
+    zs = np.linspace(-lim, lim, 201)
+
+    def sup(ks):
+        return max((float(np.max(np.abs(alpha.derivative(k).eval(zs)))) for k in ks),
+                   default=0.0)
+
     fact = float(math.factorial(s))
-    out["sup_ds_minus_sfact"] = float(np.max(np.abs(np.abs(ds.eval(zs)) - fact)))
-    out["bound_ds_minus_sfact"] = fact / 20.0
-    highs = []
-    for k in range(s + 1, min(16 * s, alpha.trunc_z) + 1):
-        highs.append(float(np.max(np.abs(alpha.derivative(k).eval(zs)))))
-    out["sup_high_derivatives"] = max(highs) if highs else 0.0
-    out["bound_high_derivatives"] = 0.25 / r
-    return out
+    ds_dev = float(np.max(np.abs(np.abs(alpha.derivative(s).eval(zs)) - fact)))
+    highs = sup(range(s + 1, min(16 * s, alpha.trunc_z) + 1))
+    return alpha.eval(zs), ds_dev, highs, sup(range(1, s))
 
 
-def _trial_contracts(prepared, A, r, beta, omegas, s, contraction_exponent):
-    D = prepared.trunc_total
-    geom0 = StepGeometry(r, 0.75 * r, beta, eps=A, delta=1.0, s=s, omega_samples=omegas)
-    delta = calibrate_delta(prepared.alpha, D, geom0, 100.0 * A ** (1.0 / (60.0 * s)))
+def _alpha_conditions(alpha: CoeffSeries, lam: float, s: int, r: float) -> dict:
+    vals, ds_dev, highs, _ = alpha_window_sups(alpha, s, r * r)
+    return {
+        "sup_alpha_minus_lambda": float(np.max(np.abs(vals - lam))),
+        "bound_alpha_minus_lambda": 1.0 / 8.0,
+        "sup_ds_minus_sfact": ds_dev,
+        "bound_ds_minus_sfact": math.factorial(s) / 20.0,
+        "sup_high_derivatives": highs,
+        "bound_high_derivatives": 0.25 / r,
+    }
+
+
+def _trial_step(prepared: InvolutionPair, geom: StepGeometry) -> tuple:
+    """One main step at geom with delta calibrated on its samples; returns
+    (trial record, None) or (None, the reason it could not run)."""
+    A, D = geom.eps, prepared.trunc_total
+    delta = calibrate_delta(prepared.alpha, D, geom, 100.0 * A ** (1.0 / (60.0 * geom.s)))
     if delta <= 0:
-        return False, None, "vanishing divisor"
-    geom = replace(geom0, delta=delta)
+        return None, "vanishing divisor"
     try:
-        _, _, rep = main_step(prepared, geom)
+        _, _, rep = main_step(prepared, replace(geom, delta=delta))
     except SeriesError as e:
-        return False, None, str(e)
+        return None, str(e)
     p_plus = rep.entries["p_plus_norm"]["measured"]
-    ok = p_plus <= A**contraction_exponent
-    return ok, {"p_plus": p_plus, "target": A**contraction_exponent, "delta": delta}, None
+    return {"p_plus": p_plus, "target": A**CONTRACTION_EXPONENT, "delta": delta}, None
 
 
 def prenormalize(

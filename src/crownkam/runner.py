@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .involution import InvolutionPair, compose_sigma, skew_term
-from .kamstep import StepGeometry, calibrate_delta, main_step
+from .kamstep import StepGeometry, calibrate_delta, main_step, window_samples
 from .moserwebster import (
     BishopSurface,
     DiagonalFrame,
@@ -32,11 +32,7 @@ from .moserwebster import (
     hyperbola_image,
     surface_from_config,
 )
-from .prenormal import (
-    practical_beta,
-    prenormalize,
-    radius_search,
-)
+from .prenormal import alpha_window_sups, practical_beta, prenormalize, radius_search
 from .series import CoeffSeries, CrownNormParams, CrownSeries, SeriesError
 from .sieve import (
     IntervalSet,
@@ -51,7 +47,7 @@ from .transforms import chain_apply, chain_realness_defect
 CONVERGENCE_FLOOR = 1e-13
 # numeric RunConfig fields: an int field takes an int, a float field an int or a float
 NUMERIC_FIELDS = dict.fromkeys(("s_hint", "degree", "N", "max_nu", "omega_count",
-                                "n_curve_points", "boundary_samples"), int)
+                                "n_curve_points"), int)
 NUMERIC_FIELDS.update(omega_window=float, convergence_floor=float)
 
 
@@ -71,18 +67,14 @@ class RunConfig:
     s_hint: int = 1
     degree: int | None = None
     N: int | None = None
-    mode: str = "practical"
     max_nu: int = 3
     omega_count: int = 9
     omega_window: float = 0.9
     n_curve_points: int = 64
-    boundary_samples: int = 64
     convergence_floor: float = CONVERGENCE_FLOOR
     out_dir: str = "out"
 
     def __post_init__(self):
-        if self.mode not in ("practical", "rigorous"):
-            raise ConfigError(f"mode: must be 'practical' or 'rigorous', got {self.mode!r}")
         if self.surface is None and self.direct is None:
             raise ConfigError("surface|direct: exactly one input block is required")
         if self.surface is not None and self.direct is not None:
@@ -105,7 +97,7 @@ class RunConfig:
             raise ConfigError(
                 f"degree: need degree >= 2(2N+2) = {2 * (2 * self.N + 2)}, got {self.degree}"
             )
-        for name in ("max_nu", "omega_count", "n_curve_points", "boundary_samples"):
+        for name in ("max_nu", "omega_count", "n_curve_points"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name}: must be positive")
         if not 0 < self.omega_window <= 1:
@@ -194,18 +186,10 @@ class KamState:
     lam0: float = 0.0
 
 
-def _window_samples(O: IntervalSet, lim: float, count: int = 5) -> tuple:
-    """``count`` points of O inside |omega| <= lim; raises when there are none."""
-    pts = O.intersect(IntervalSet.interval(-lim, lim)).sample(count)
-    if pts.size == 0:
-        raise SeriesError("surviving parameter set is empty in the working window")
-    return tuple(float(x) for x in pts)
-
-
 def prepare(config: RunConfig) -> tuple[KamState, dict]:
     """Build, normalize and branch; lands at the iteration's entry state."""
     D = config.degree
-    record: dict = {"mode": config.mode}
+    record: dict = {}
     surface = frame = None
     if config.surface is not None:
         surface = surface_from_config(dict(config.surface, degree=D))
@@ -236,7 +220,7 @@ def prepare(config: RunConfig) -> tuple[KamState, dict]:
                     "prepared exponent is degenerate: no z^s coefficient found"
                 )
     s = prep.s_order
-    rs = radius_search(prep, config.N, mode=config.mode)
+    rs = radius_search(prep)
     record["radius_search"] = asdict(rs)
 
     lam_prep = float(prep.alpha.coeffs[0].real)
@@ -250,11 +234,10 @@ def prepare(config: RunConfig) -> tuple[KamState, dict]:
         beta = practical_beta(rs.A, s, r_star)
         O_full = IntervalSet.interval(-r_star * r_star, r_star * r_star)
         g0 = StepGeometry(r_star, 0.75 * r_star, beta, eps=rs.A, delta=1.0, s=s,
-                          omega_samples=_window_samples(O_full, r_star * r_star, 7),
-                          boundary_samples=config.boundary_samples)
+                          omega_samples=window_samples(O_full, r_star * r_star))
         delta = calibrate_delta(prep.alpha, D, g0, 100.0 * rs.A ** (1.0 / (60.0 * s)))
         O_delta = excise_resonances(O_full, prep.alpha, g0.K_cut(D), delta)
-        g1 = replace(g0, omega_samples=_window_samples(O_delta, r_star * r_star, 7))
+        g1 = replace(g0, omega_samples=window_samples(O_delta, r_star * r_star))
         geom = replace(g1, delta=calibrate_delta(prep.alpha, D, g1, delta))
         pair0, links, rep = main_step(prep, geom)
         record["preliminary_step"] = rep.to_dict()
@@ -267,9 +250,8 @@ def prepare(config: RunConfig) -> tuple[KamState, dict]:
     record["schedule"] = schedule.to_dict()
 
     beta0 = practical_beta(eps0, s, r0)
-    omegas = _window_samples(O0, r0 * r0 - beta0)
-    g = StepGeometry(r0, 0.75 * r0, beta0, eps=1.0, delta=1.0, omega_samples=omegas,
-                     boundary_samples=config.boundary_samples)
+    omegas = window_samples(O0, r0 * r0 - beta0)
+    g = StepGeometry(r0, 0.75 * r0, beta0, eps=1.0, delta=1.0, omega_samples=omegas)
     eps_m = 10.0 * max(g.sup_norm(pair0.p, beta0, r0), g.sup_norm(pair0.q, beta0, r0))
     skew_m = g.sup_norm(skew_term(pair0), beta0, r0)
     state = KamState(
@@ -302,32 +284,22 @@ def prepare(config: RunConfig) -> tuple[KamState, dict]:
 def _alpha_entry_hypotheses(alpha: CoeffSeries, s: int, r0: float, beta0: float) -> dict:
     """The entry hypotheses on the exponent, each measured on
     the working window and paired with its bound."""
-    lim = max(r0 * r0 - beta0, 1e-12)
-    zs = np.linspace(-lim, lim, 201)
-    vals = alpha.eval(zs).real
+    vals, ds_dev, highs, lows = alpha_window_sups(alpha, s, max(r0 * r0 - beta0, 1e-12))
+    vals = vals.real
     fact = float(math.factorial(s))
-    ds = np.abs(alpha.derivative(s).eval(zs))
     out = {
         "range": [float(vals.min()), float(vals.max())],
         "range_window": [-0.125, 4 * np.pi + 0.125],
         "range_pass": bool(vals.min() > -0.125 and vals.max() < 4 * np.pi + 0.125),
         "norm_sup": float(np.max(np.abs(vals))),
         "norm_bound": 4 * np.pi + 0.25,
-        "ds_minus_sfact_sup": float(np.max(np.abs(ds - fact))),
+        "ds_minus_sfact_sup": ds_dev,
         "ds_bound": fact / 16.0,
+        "high_derivative_sup": highs,
+        "high_derivative_bound": 0.25 / r0,
     }
-    highs = [
-        float(np.max(np.abs(alpha.derivative(k).eval(zs))))
-        for k in range(s + 1, min(16 * s, alpha.trunc_z) + 1)
-    ]
-    out["high_derivative_sup"] = max(highs) if highs else 0.0
-    out["high_derivative_bound"] = 0.25 / r0
     if s >= 2:
-        lows = [
-            float(np.max(np.abs(alpha.derivative(k).eval(zs))))
-            for k in range(1, s)
-        ]
-        out["low_derivative_sup"] = max(lows) if lows else 0.0
+        out["low_derivative_sup"] = lows
         out["low_derivative_bound"] = 1.0 / 16.0
     return out
 
@@ -337,7 +309,6 @@ def iterate(state: KamState, config: RunConfig) -> KamState:
     D = state.pair.trunc_total
     s = state.pair.s_order
     sch = state.eps_schedule
-    practical = config.mode == "practical"
     for nu in range(config.max_nu):
         r_nu = sch.r[nu]
         r_next = sch.r[nu + 1]
@@ -346,13 +317,10 @@ def iterate(state: KamState, config: RunConfig) -> KamState:
         if eps_nu < config.convergence_floor or state.skew_measured[-1] < config.convergence_floor:
             state.status = "converged-to-truncation"
             break
-        omegas = _window_samples(state.O, r_nu * r_nu - beta_nu)
         g0 = StepGeometry(r_nu, r_next, beta_nu, eps=eps_nu, delta=1.0, s=s,
-                          omega_samples=omegas, boundary_samples=config.boundary_samples)
+                          omega_samples=window_samples(state.O, r_nu * r_nu - beta_nu))
         K_cut = g0.K_cut(D)
-        delta = eps_nu ** (1.0 / (64.0 * s))
-        if practical:
-            delta = calibrate_delta(state.pair.alpha, D, g0, delta)
+        delta = calibrate_delta(state.pair.alpha, D, g0, eps_nu ** (1.0 / (64.0 * s)))
 
         window = IntervalSet.interval(-r_next * r_next, r_next * r_next)
         O_shrunk = state.O.intersect(window)
@@ -381,9 +349,8 @@ def iterate(state: KamState, config: RunConfig) -> KamState:
         try:
             # recalibrate delta on the surviving samples: the excision grid and
             # the step's working grid must see the same divisor floor
-            g1 = replace(g0, omega_samples=_window_samples(O_next, r_next**2 - beta_nu))
-            if practical:
-                delta = calibrate_delta(state.pair.alpha, D, g1, delta)
+            g1 = replace(g0, omega_samples=window_samples(O_next, r_next**2 - beta_nu))
+            delta = calibrate_delta(state.pair.alpha, D, g1, delta)
             pair_next, links, rep = main_step(state.pair, replace(g1, delta=delta))
         except SeriesError as e:
             state.status = f"step-failed: {e}"
@@ -703,8 +670,6 @@ def _load_config(args) -> RunConfig:
         except json.JSONDecodeError as e:
             raise ConfigError(f"config: invalid JSON ({e})") from e
         _require_object(data, "config")
-    if args.mode:
-        data["mode"] = args.mode
     if args.max_nu is not None:
         data["max_nu"] = args.max_nu
     if args.degree is not None:
@@ -723,7 +688,6 @@ def run_cli(argv=None) -> int:
         "build", "prenorm", "iterate", "verify", "report"
     ])
     parser.add_argument("--config", default=None)
-    parser.add_argument("--mode", choices=["practical", "rigorous"], default=None)
     parser.add_argument("--max-nu", type=int, default=None, dest="max_nu")
     parser.add_argument("--degree", type=int, default=None)
     parser.add_argument("--out", default=None)

@@ -243,7 +243,7 @@ class Schedule:
 
 def build_schedule(s: int, r0: float, eps0: float, max_nu: int) -> Schedule:
     """Fill the quantity lists to max_nu and evaluate the verbatim smallness
-    inequality; practical runs proceed regardless (flagged).
+    inequality; runs proceed regardless (flagged).
 
     eps_{nu+1} = eps_nu^{5/4}; beta_nu = eps_nu^{1/(40s)};
     beta~_nu = 16 eps_nu^{1/(32s)}; zeta_{nu+1} = zeta_nu + eps_nu^{1/3};

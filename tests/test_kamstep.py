@@ -132,6 +132,18 @@ def test_truncate_generic_geometric_bound():
     assert tail <= pnorm * (g.r7 / g.r) ** K + 1e-18
 
 
+@pytest.mark.parametrize("K", [1, 2.5, 6, D])
+def test_truncate_keeps_the_crown_entries_up_to_K(K):
+    # reference: decompose into crown entries, keep max(l, j) <= floor(K), reassemble
+    rng = np.random.default_rng(67)
+    p, q = (CrownSeries(rng.standard_normal((D + 1, D + 1))
+                        + 1j * rng.standard_normal((D + 1, D + 1)), D) for _ in range(2))
+    pK, qK, _ = truncate_K(p, q, K)
+    for f, fK in ((p, pK), (q, qK)):
+        kept = [(l, j, h) for l, j, h in f.crown_decompose() if max(l, j) <= np.floor(K)]
+        assert np.array_equal(fK.coeffs, CrownSeries.crown_reassemble(kept, D).coeffs)
+
+
 # ---------------------------------------------------------------------------
 # cohomological solver
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from crownkam.prenormal import (
     prenormalize,
     radius_search,
     realform_scaling,
+    smallness_lhs,
 )
 from crownkam.series import (
     CoeffSeries,
@@ -226,7 +227,7 @@ def test_radius_zero_perturbation_case1():
         CrownSeries.zero(10),
         CrownSeries.zero(10),
     )
-    res = radius_search(t, N=2)
+    res = radius_search(t)
     assert res.branch == "case1"
     assert res.A == 0.0
     assert res.eps0 == 0.0
@@ -242,7 +243,7 @@ def test_radius_A_scaling_slope():
 
 def test_radius_search_practical_contracts():
     t = prepared_fixture()
-    res = radius_search(t, N=2, mode="practical")
+    res = radius_search(t)
     assert res.branch in ("case1", "case2")
     assert res.trial is not None
     assert res.trial["p_plus"] <= res.trial["target"]
@@ -264,9 +265,18 @@ def test_radius_search_case2_on_large_skew():
         return CrownSeries(c, D)
 
     t = synthesize_pair(alpha, (rand_u(), rand_u()))
-    res = radius_search(t, N=2, mode="practical")
+    res = radius_search(t)
     assert res.branch == "case2"
     assert res.skew_measured >= res.skew_threshold
+
+
+def test_smallness_inequality_fails_at_every_double():
+    # the verbatim radius inequality cannot hold at any double-precision
+    # perturbation size, radius or twist order up to 4
+    As = np.logspace(-308, 0, 309)
+    rs = np.geomspace(1e-7, 0.24, 50)
+    for s in range(1, 5):
+        assert min(smallness_lhs(A, s, r) for A in As for r in rs) > 1.0
 
 
 def test_full_prenormalize_pipeline():
@@ -290,6 +300,6 @@ def test_full_prenormalize_pipeline():
     # every chain link commutes with rho
     for link in chain:
         assert link.is_real(1e-9)
-    res = radius_search(prep, N=2, mode="practical")
+    res = radius_search(prep)
     assert res.branch == "case1"
     assert res.rigorous_feasible is False  # desk scale: verbatim bound infeasible

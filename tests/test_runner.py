@@ -84,6 +84,14 @@ def test_prepare_cubic_nondegenerate(cubic_run):
     assert record["entry"]["skew_hypothesis_pass"] or state.branch == "case1"
 
 
+def test_radius_search_and_entry_measure_one_skew(cubic_run):
+    # case 1 enters at r_* and the search's beta, so both measurements read
+    # the same pair on the same omega samples
+    state, record, curves = cubic_run
+    assert record["radius_search"]["branch"] == "case1"
+    assert record["radius_search"]["skew_measured"] == record["entry"]["skew_measured"]
+
+
 def test_direct_input_prepared_form():
     # a direct (alpha, p, q) spec with non-constant exponent skips the
     # normalization stage and runs the loop directly
@@ -331,6 +339,22 @@ def test_cli_malformed_config(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("name, value", [("mode", "rigorous"), ("boundary_samples", 64)])
+def test_cli_rejects_removed_fields(tmp_path, capsys, name, value):
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps(dict(FIXTURES["linear"], **{name: value})))
+    assert run_cli(["iterate", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 3
+    assert f"configuration error: {name}: unknown configuration field" in capsys.readouterr().err
+
+
+def test_cli_has_no_mode_flag(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["iterate", "--seed-fixture", "linear", "--mode", "rigorous",
+                 "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --mode" in capsys.readouterr().err
+
+
 def test_cli_missing_config(tmp_path):
     code = run_cli(["iterate", "--out", str(tmp_path / "o")])
     assert code == 3
@@ -446,12 +470,11 @@ def test_cli_malformed_config_blocks(tmp_path, capsys, text, code, message):
         ({"s_hint": True}, "s_hint: must be an integer, got True"),
         ({"omega_count": 9.0}, "omega_count: must be an integer, got 9.0"),
         ({"n_curve_points": [64]}, "n_curve_points: must be an integer, got [64]"),
-        ({"boundary_samples": None}, "boundary_samples: must be an integer, got None"),
         ({"omega_window": "0.9"}, "omega_window: must be a real number, got '0.9'"),
         ({"convergence_floor": False}, "convergence_floor: must be a real number, got False"),
     ],
     ids=["N-float", "max_nu-str", "degree-float", "s_hint-bool", "omega_count-float",
-         "n_curve_points-list", "boundary_samples-null", "omega_window-str",
+         "n_curve_points-list", "omega_window-str",
          "convergence_floor-bool"],
 )
 def test_cli_rejects_mistyped_numeric_fields(tmp_path, capsys, fields, message):
