@@ -29,6 +29,7 @@ All values are immutable after construction; operations return new objects.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -599,7 +600,8 @@ class CrownSeries:
         return CrownSeries._adopt(c, D)
 
     def substitute(self, X: "CrownSeries", Y: "CrownSeries") -> "CrownSeries":
-        """h(X(xi,eta), Y(xi,eta)) in the truncated ring (Horner in both slots)."""
+        """h(X(xi,eta), Y(xi,eta)) in the truncated ring, degree by degree
+        (``_compose``)."""
         return _compose((self,), X, Y)[0]
 
     def compose_z(self, h: CoeffSeries) -> "CrownSeries":
@@ -685,124 +687,90 @@ def multiply(f: CrownSeries, g: CrownSeries) -> CrownSeries:
     return CrownSeries._adopt(out, D)
 
 
-def _powers(Y: CrownSeries) -> np.ndarray:
-    """Y^0, ..., Y^D in the truncated ring, as the raveled rows of one
-    (D+1, (D+1)^2) table; each power is ``multiply(Y^(n-1), Y)``."""
-    D = Y.trunc_total
-    table = np.zeros((D + 1, (D + 1) ** 2), dtype=np.complex128)
-    table[0, 0] = 1.0
-    power = Y
-    for n in range(1, D + 1):
-        if n > 1:
-            power = multiply(power, Y)
-        table[n] = power.coeffs.ravel()
-    return table
+@lru_cache(maxsize=None)
+def _graded(D: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Graded layout at truncation D (by degree, then xi exponent): each
+    slot's flat index in the square, the first slot of degrees 0..D+1, its
+    place in the pad of ``_block_rows``, and per degree d the window rows
+    of block row d of M(f), one for each slot of degree < d."""
+    d, m = np.nonzero(np.tri(D + 1, dtype=bool))
+    width = D + 1
+    start = np.arange(D + 2) * np.arange(1, D + 3) // 2
+    base = (D - m) * width - d
+    windows = [base[: start[k]] + k for k in range(D + 1)]
+    layout = (m * width + d - m, start, (D + m) * width + d)
+    for arr in (*layout, *windows):
+        arr.setflags(write=False)
+    return (*layout, windows)
 
 
-def _resized(f: CrownSeries, d: int) -> CrownSeries:
-    """f at truncation d: cut to total degree d or zero-padded."""
-    if d == f.trunc_total:
-        return f
-    if d < f.trunc_total:
-        out = np.where(_triangle_mask(d + 1), f.coeffs[: d + 1, : d + 1], 0.0)
-    else:
-        out = np.zeros((d + 1, d + 1), dtype=np.complex128)
-        out[: f.trunc_total + 1, : f.trunc_total + 1] = f.coeffs
-    return CrownSeries._adopt(out, d)
+def _block_rows(f: CrownSeries) -> np.ndarray:
+    """Rows of the matrix M(f) of v -> f*v on graded vectors, transposed.
 
-
-def _truncations(X: CrownSeries) -> list[CrownSeries]:
-    """X at the truncation of each Horner row m of a composition with X.
-
-    When X(0,0) = 0, the accumulator of row m only reaches the result
-    through X^m, so row m runs at d = D - m; otherwise every row runs at D.
+    f's coefficient (i, k - i) sits at row D + i, column k of a
+    (2D+1, D+1) pad, zero for i < 0 and i > k.  Entry ((e, q), p) of block
+    row d, the coefficient (p - q, d - e - (p - q)), is then the pad entry
+    at column d - e of row D + p - q: entry p of the returned window row
+    (D - q)(D+1) - e + d, the one ``_graded(D)[3][d]`` lists for (e, q).
+    Degree d - e >= 1 never reads f(0, 0).
     """
-    D = X.trunc_total
-    shrink = int(X.coeffs[0, 0] == 0)
-    return [_resized(X, D - m * shrink) for m in range(D + 1)]
-
-
-def _horner(h: CrownSeries, xs: list[CrownSeries], table: np.ndarray) -> CrownSeries:
-    """h(X, Y) = sum_m X^m row_m(Y) by Horner in X, given X at each row's
-    truncation (``_truncations``) and the powers of Y (``_powers``).
-
-    Every row_m = sum_n a_mn Y^n comes from one matrix product with the
-    power table; row m is then cut to the leading (d+1)^2 block of its
-    truncation d, above its triangle zeroed.
-    """
-    D = h.trunc_total
-    rows = (h.coeffs @ table).reshape(D + 1, D + 1, D + 1)
-    acc = None
-    for m in range(D, -1, -1):
-        d = xs[m].trunc_total
-        row = rows[m, : d + 1, : d + 1]
-        row[~_triangle_mask(d + 1)] = 0.0
-        if acc is None:
-            acc = CrownSeries._adopt(row.copy(), d)
-        else:
-            prod = multiply(_resized(acc, d), xs[m])
-            acc = CrownSeries._adopt(prod.coeffs + row, d)
-    return acc
-
-
-# Largest D composed on the graded operator.  Compositions of a `cubic` run
-# (BLAS on one thread), truncated Horner -> graded: 58 -> 15 ms at D = 12,
-# 86 -> 26 at 16, 159 -> 71 at 20, 256 -> 271 at 24; a dense pair at D = 36
-# 12 -> 24 ms.  The S^2-entry operator is 0.37 MB at D = 16, 7.9 MB at 36.
-GRADED_MAX_DEGREE = 16
+    D = f.trunc_total
+    flat, _, slot, _ = _graded(D)
+    width = D + 1
+    pad = np.zeros((2 * D + 1) * width, dtype=np.complex128)
+    pad[slot] = f.coeffs.ravel()[flat]
+    strides = (pad.itemsize, pad.itemsize * width)
+    return np.ndarray((pad.size - D * width, width), pad.dtype, pad, 0, strides)
 
 
 @lru_cache(maxsize=None)
-def _graded(D: int) -> tuple[np.ndarray, ...]:
-    """Graded layout at truncation D (by degree, then xi exponent): each
-    slot's flat index in the square, the first slot of degrees 0..D+1, and
-    the scatter plan of ``_operator``: for each (out, in) slot pair whose
-    difference is a monomial, the pair's flat index in the S x S operator
-    and the difference's flat index in f."""
-    d, m = np.nonzero(np.tri(D + 1, dtype=bool))
-    n = d - m
-    start = np.arange(D + 2) * np.arange(1, D + 3) // 2
-    i, j = np.nonzero(d[:, None] + d[None, :] <= D)
-    out = start[d[i] + d[j]] + m[i] + m[j]
-    plan = (m * (D + 1) + n, start, out * start[-1] + i, m[j] * (D + 1) + n[j])
-    for arr in plan:
+def _binomials(D: int) -> tuple[np.ndarray, np.ndarray]:
+    """C(i, m) at [i, m] (zero for m > i) and the exponents max(i - m, 0)."""
+    i = range(D + 1)
+    binom = np.array([[math.comb(a, b) for b in i] for a in i], dtype=float)
+    gap = np.maximum(np.subtract.outer(i, i), 0)
+    for arr in (binom, gap):
         arr.setflags(write=False)
-    return plan
-
-
-def _operator(f: CrownSeries) -> np.ndarray:
-    """The S x S matrix of v -> f*v on graded vectors; its leading (S_d, S_e)
-    block maps the slots of degree <= e to the product cut at degree d."""
-    _, start, pos, src = _graded(f.trunc_total)
-    op = np.zeros(start[-1] ** 2, dtype=np.complex128)
-    op[pos] = f.coeffs.ravel()[src]
-    return op.reshape(start[-1], -1)
+    return binom, gap
 
 
 def _compose(hs: Sequence[CrownSeries], X: CrownSeries, Y: CrownSeries) -> list[CrownSeries]:
-    """h(X, Y) for each h of hs: ``_horner`` above GRADED_MAX_DEGREE, else its
-    steps on graded vectors, Y^n = M(Y) Y^(n-1) and acc <- M(X) acc + row_m on
-    the slots of row m's truncation.  Each coefficient is one dot product over
-    the terms of the direct sum; each h has its own products (lone-call bits)."""
+    """h(X, Y) for each h of hs, degree by degree on graded vectors.
+
+    The constants x0 = X(0,0) and y0 = Y(0,0) move into h: h(x0 + u, y0 + v)
+    has coefficients A^T h B, A[i, m] = C(i, m) x0^(i-m) and B likewise, so
+    X and Y enter only through U = X - x0 and V = Y - y0, of order >= 1.
+    Output degree d of every product with U or V reads only input degrees
+    < d, through block row d of M(U) or M(V).  One product per degree forms
+    degree d of the powers V^n, n <= d; the rows sum_n a_mn V^n of every h
+    are one product with the powers; and one product per degree adds degree
+    d of U acc_(m+1) to each Horner accumulator acc_m with m <= D - d, the
+    only ones that reach the result through U^m.  Each coefficient is one
+    dot product over the terms of the direct sum, and each h has its own
+    products on a leading axis (lone-call bits).
+    """
     D = X._matched(Y)
     for h in hs:
         h._matched(X)
-    if D > GRADED_MAX_DEGREE:
-        xs, table = _truncations(X), _powers(Y)
-        return [_horner(h, xs, table) for h in hs]
-    flat, start, _, _ = _graded(D)
-    table = np.eye(D + 1, start[-1], dtype=np.complex128)  # rows n >= 1 are overwritten
-    MY, MX = _operator(Y), _operator(X)
-    for n in range(1, D + 1):
-        table[n] = MY @ table[n - 1] if n > 1 else Y.coeffs.ravel()[flat]
-    rows = np.stack([h.coeffs for h in hs]) @ table
-    shrink = int(X.coeffs[0, 0] == 0)
-    acc = rows[:, D, : start[D + 1 - D * shrink], None]
-    for m in range(D - 1, -1, -1):
-        top = start[D + 1 - m * shrink]
-        acc = MX[:top, : acc.shape[1]] @ acc + rows[:, m, :top, None]
+    flat, start, _, windows = _graded(D)
+    rows_x, rows_y = _block_rows(X), _block_rows(Y)
+    powers = np.zeros((D + 1, start[-1]), dtype=np.complex128)
+    powers[0, 0] = 1.0
+    for d in range(1, D + 1):
+        s = start[d]
+        np.matmul(powers[:d, :s], rows_y[windows[d], : d + 1], out=powers[1 : d + 1, s : s + d + 1])
+    coeffs = np.stack([h.coeffs for h in hs])
+    binom, gap = _binomials(D)
+    if X.coeffs[0, 0]:
+        coeffs = (binom * X.coeffs[0, 0] ** gap).T @ coeffs
+    if Y.coeffs[0, 0]:
+        coeffs = coeffs @ (binom * Y.coeffs[0, 0] ** gap)
+    acc = coeffs @ powers
+    for d in range(1, D + 1):
+        s, top = start[d], D + 1 - d
+        acc[:, :top, s : s + d + 1] += acc[:, 1 : top + 1, :s] @ rows_x[windows[d], : d + 1]
     out = np.zeros((len(hs), (D + 1) ** 2), dtype=np.complex128)
-    out[:, flat] = acc[:, :, 0]
+    out[:, flat] = acc[:, 0]
     return [CrownSeries._adopt(c.reshape(D + 1, D + 1), D) for c in out]
 
 
@@ -827,27 +795,6 @@ def principal_part(alpha: CoeffSeries, b: float, D: int) -> MapPair:
     )
 
 
-def compose_rotated(
-    h: CrownSeries,
-    b: float,
-    alpha: CoeffSeries,
-    f: CrownSeries,
-    g: CrownSeries,
-    b_limit: float | None = 1.0,
-) -> CrownSeries:
-    """h(e^{i b alpha(xi eta)} xi + f, e^{-i b alpha(xi eta)} eta + g).
-
-    The rotation exponent is expanded with the univariate exponential and the
-    substitution is done by Horner evaluation in the truncated ring.
-    """
-    if b_limit is not None and abs(b) > b_limit:
-        raise SeriesError(f"|b| = {abs(b):.3g} exceeds limit {b_limit:.3g}")
-    D = h._matched(f)
-    h._matched(g)
-    P = principal_part(alpha, b, D)
-    return h.substitute(P[0] + f, P[1] + g)
-
-
 MapPair = tuple[CrownSeries, CrownSeries]
 
 
@@ -858,8 +805,9 @@ def identity_pair(D: int) -> MapPair:
 def substitute_pair(F: MapPair, G: MapPair) -> MapPair:
     """Composition F(G) of maps given as coefficient-series pairs.
 
-    The powers of G's second component and the operator or truncations of
-    its first are computed once for both components.
+    The powers of G's second component and the block rows of both are
+    formed once for both components, each of which keeps the bits of a lone
+    ``substitute`` call.
     """
     return tuple(_compose(F, *G))
 

@@ -22,11 +22,11 @@ from crownkam.series import (
     CoeffSeries,
     CrownNormParams,
     CrownSeries,
-    compose_rotated,
     multiply,
 )
 from crownkam.sieve import pyartli_bound
 
+from composition_helpers import compose_rotated
 from test_series import crown_formula_multiply, direct_poly_multiply, random_crown
 
 

@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from crownkam.series import (
-    _powers,
     CoeffSeries,
     CrownNormParams,
     CrownSeries,
     SeriesError,
-    compose_rotated,
     identity_pair,
     invert_near_identity,
     multiply,
@@ -17,6 +15,8 @@ from crownkam.series import (
     rotation_factor,
     substitute_pair,
 )
+
+from composition_helpers import compose_rotated
 
 
 def random_crown(rng, D, scale=1.0, min_order=0):
@@ -608,18 +608,6 @@ def test_eval_has_the_bits_of_the_nested_loop(D):
             assert type(got) is type(want)
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
     assert type(f.eval(0.1, 0.2)) is complex
-
-
-@pytest.mark.parametrize("D", [0, 1, 12])
-def test_power_table_rows_are_the_sequential_powers(D):
-    # row n of the table is Y^n from n - 1 sequential products, bit for bit
-    Y = random_crown(np.random.default_rng(D), D, 0.5)
-    want = CrownSeries.constant(1.0, D)
-    table = _powers(Y)
-    assert table.shape == (D + 1, (D + 1) ** 2)
-    for n in range(D + 1):
-        assert table[n].tobytes() == want.coeffs.tobytes()
-        want = Y if n == 0 else multiply(want, Y)
 
 
 def test_substitute_at_degree_zero():

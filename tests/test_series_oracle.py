@@ -6,9 +6,9 @@ mpmath at 50 significant digits from the same double-precision inputs, so
 the only difference left is the kernel's own rounding.  A product
 coefficient is a sum of at most (D+1)^2 complex products, which bounds its
 error by 2(D+1)^2 eps times the same coefficient of |f| * |g|.  The
-order-truncated composition is checked against the full-degree Horner it
-replaced, by its coefficients and by the degrees of its products, and the
-graded operator that composes at D <= 16 against ``multiply`` and the
+degree-by-degree composition is checked against a full-degree Horner on
+``multiply``, with and without constant terms in X and Y, and the block
+rows of the graded operator it runs on against ``multiply`` and the
 oracle.  The inverters are checked against both composition orders, against
 the fixed-point iteration they replaced, and by their pass count.
 """
@@ -216,6 +216,8 @@ def full_degree_substitute(h: CrownSeries, X: CrownSeries, Y: CrownSeries) -> Cr
 @PROPERTY
 @given(D=st.integers(1, 14), seed=st.integers(0, 2**32 - 1), x00=st.sampled_from([0.0, 0.05]))
 def test_truncated_composition_matches_full_degree_horner(D, seed, x00):
+    # the composition forms accumulator m only up to degree D - m; the
+    # reference runs every Horner step at the full degree D
     rng = np.random.default_rng(seed)
     F = (CrownSeries(decaying(rng, D), D), CrownSeries(decaying(rng, D), D))
     xi, eta = identity_pair(D)
@@ -224,25 +226,23 @@ def test_truncated_composition_matches_full_degree_horner(D, seed, x00):
     pair = substitute_pair(F, (X, Y))
     for k in range(2):
         ref = full_degree_substitute(F[k], X, Y)
-        horner = series._horner(F[k], series._truncations(X), series._powers(Y))
-        if x00 == 0.0:
-            assert np.all(np.abs(horner.coeffs - ref.coeffs) <= substitution_bound(F[k], X, Y))
-        else:
-            # every row runs at degree D: the full-degree arithmetic
-            assert horner.coeffs.tobytes() == ref.coeffs.tobytes()
-        # at D <= 14 the public calls run on the graded operator, which sums
-        # each coefficient in its own order
         for got in (F[k].substitute(X, Y), pair[k]):
             assert np.all(np.abs(got.coeffs - ref.coeffs) <= substitution_bound(F[k], X, Y))
 
 
 def graded_product(f: CrownSeries, g: CrownSeries) -> CrownSeries:
-    """f*g as the graded operator of f applied to the graded vector of g."""
+    """f*g on graded vectors: degree d is block row d of M(f) applied to the
+    degrees < d of g, plus f(0, 0) times degree d of g."""
     D = f.trunc_total
-    flat = series._graded(D)[0]
-    out = np.zeros((D + 1) ** 2, dtype=complex)
-    out[flat] = series._operator(f) @ g.coeffs.ravel()[flat]
-    return CrownSeries(out.reshape(D + 1, D + 1), D)
+    flat, start, _, windows = series._graded(D)
+    rows = series._block_rows(f)
+    v = g.coeffs.ravel()[flat]
+    out = f.coeffs[0, 0] * v
+    for d in range(1, D + 1):
+        out[start[d] : start[d + 1]] += v[: start[d]] @ rows[windows[d], : d + 1]
+    square = np.zeros((D + 1) ** 2, dtype=complex)
+    square[flat] = out
+    return CrownSeries(square.reshape(D + 1, D + 1), D)
 
 
 @pytest.mark.parametrize("D, columns", [(0, None), (1, None), (12, None), (16, None),
@@ -260,14 +260,22 @@ def test_graded_operator_matches_multiply(D, columns):
     ref = to_complex(mp_multiply(mp_series(f.coeffs), mp_series(g.coeffs), D))
     assert np.all(np.abs(got - ref) <= bound)
     assert np.all(np.abs(got - multiply(f, g).coeffs) <= bound)
-    assert series._graded(D)[2].size == (D + 1) * (D + 2) * (D + 3) * (D + 4) // 24
+    # the block rows of all-ones hold each (out, in) slot pair whose
+    # difference is a monomial of degree >= 1 once, from a plan of one
+    # index per slot of degree < d: C(D+4, 4) pairs less the S diagonal ones
+    flat, start, _, windows = series._graded(D)
+    rows = series._block_rows(CrownSeries(np.ones((D + 1, D + 1)), D))
+    pairs = sum(np.count_nonzero(rows[windows[d], : d + 1]) for d in range(D + 1))
+    assert pairs == (D + 1) * (D + 2) * (D + 3) * (D + 4) // 24 - start[-1]
+    assert sum(w.size for w in windows) == sum(start[: D + 1])
 
 
-@pytest.mark.parametrize("D", [16, 17])
+@pytest.mark.parametrize("D", [12, 16, 17, 24, 36, 48])
 @pytest.mark.parametrize("x00", [0.0, 0.05])
 def test_composition_on_both_sides_of_the_graded_threshold(D, x00, monkeypatch):
-    # D <= GRADED_MAX_DEGREE composes on the graded operator without a
-    # multiply; above it the truncated Horner multiplies
+    # no composition calls multiply, below and above D = 16, where the
+    # composition once switched paths; Y(0, 0) != 0, so with x00 both
+    # constant terms fold into h
     calls = []
 
     def counted(f, g):
@@ -279,33 +287,15 @@ def test_composition_on_both_sides_of_the_graded_threshold(D, x00, monkeypatch):
     xi, eta = identity_pair(D)
     X = xi + CrownSeries(decaying(rng, D, 0.1, 1), D) + x00
     Y = eta + CrownSeries(decaying(rng, D, 0.1), D)
+    assert Y.coeffs[0, 0] != 0
     refs = [full_degree_substitute(h, X, Y) for h in F]
     monkeypatch.setattr(series, "multiply", counted)
     pair = substitute_pair(F, (X, Y))
-    assert bool(calls) == (D == 17)
+    alone = [h.substitute(X, Y) for h in F]
+    assert not calls
     for k in range(2):
-        alone = F[k].substitute(X, Y)
-        assert pair[k].coeffs.tobytes() == alone.coeffs.tobytes()
-        assert np.all(np.abs(alone.coeffs - refs[k].coeffs) <= substitution_bound(F[k], X, Y))
-
-
-def test_truncated_composition_work(monkeypatch):
-    # with X(0,0) = 0 the Horner product feeding row m runs at degree D - m
-    degrees = []
-
-    def recorded(f, g):
-        degrees.append(f.trunc_total)
-        return multiply(f, g)
-
-    D = 24
-    rng = np.random.default_rng(11)
-    h = CrownSeries(decaying(rng, D), D)
-    xi, eta = identity_pair(D)
-    X = xi + CrownSeries(decaying(rng, D, 0.1, 2), D)
-    Y = eta + CrownSeries(decaying(rng, D, 0.1, 2), D)
-    monkeypatch.setattr(series, "multiply", recorded)
-    h.substitute(X, Y)
-    assert degrees == [D] * (D - 1) + list(range(1, D + 1))
+        assert pair[k].coeffs.tobytes() == alone[k].coeffs.tobytes()
+        assert np.all(np.abs(alone[k].coeffs - refs[k].coeffs) <= substitution_bound(F[k], X, Y))
 
 
 @pytest.mark.parametrize("beta", [0.05, 0.0])
