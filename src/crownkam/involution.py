@@ -124,17 +124,8 @@ def tau2_of(t: InvolutionPair) -> InvolutionPair:
     )
 
 
-def compose_sigma(t: InvolutionPair, check_tol: float | None = None,
-                  np_: CrownNormParams | None = None) -> ReversibleMap:
-    """sigma = tau1 o tau2 with the principal rotation split off.
-
-    When ``check_tol`` and norm parameters are given, the involution residual
-    of t is verified first.
-    """
-    if check_tol is not None and np_ is not None:
-        res = t.involution_residual(np_)
-        if res > check_tol:
-            raise SeriesError(f"involution residual {res:.3e} exceeds {check_tol:.1e}")
+def compose_sigma(t: InvolutionPair) -> ReversibleMap:
+    """sigma = tau1 o tau2 with the principal rotation split off."""
     S = substitute_pair(t.components(), t.tau2_components())
     P = principal_part(t.alpha, 1.0, t.trunc_total)
     return ReversibleMap(t.alpha, S[0] - P[0], S[1] - P[1])

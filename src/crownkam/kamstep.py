@@ -28,6 +28,7 @@ from .series import (
     multiply,
     principal_part,
     rotation_factor,
+    scaling_pair,
     substitute_pair,
 )
 from .sieve import IntervalSet
@@ -253,20 +254,11 @@ def cohomological_residuals(
     rot_m = rotation_factor(t.alpha, -0.5, D)
     P = principal_part(t.alpha, -0.5, D)
     uR, vR = substitute_pair(uv, (P[1], P[0]))
-    p01 = CrownSeries.from_z_series(t.p.crown_coefficient(0, 1), D)
-    q10 = CrownSeries.from_z_series(t.q.crown_coefficient(1, 0), D)
-    res1 = (
-        multiply(rot_p, v)
-        - uR
-        + pK
-        - multiply(p01, CrownSeries.eta(D))
+    q10_xi, p01_eta = scaling_pair(
+        t.q.crown_coefficient(1, 0), t.p.crown_coefficient(0, 1), D
     )
-    res2 = (
-        multiply(rot_m, u)
-        - vR
-        + qK
-        - multiply(q10, CrownSeries.xi(D))
-    )
+    res1 = multiply(rot_p, v) - uR + pK - p01_eta
+    res2 = multiply(rot_m, u) - vR + qK - q10_xi
     cross = multiply(P[0], res1) + multiply(P[1], res2)
     skew_in = geom.sup_norm(skew_term(t), geom.beta, geom.r)
     K = geom.K_cut(D)
@@ -288,12 +280,12 @@ def cohomological_residuals(
 
 @dataclass(frozen=True)
 class IntermediatePair:
-    """Conjugated pair before rescaling: principal (e^{i alpha/2} + A)."""
+    """Conjugated map T = phi^-1 o tau o phi before rescaling, whose principal
+    part is (e^{i alpha/2} + A) eta and its reciprocal partner."""
 
     alpha: CoeffSeries
     A: CoeffSeries
-    p_t: CrownSeries
-    q_t: CrownSeries
+    T: MapPair
     phi: PolyLink
 
 
@@ -303,7 +295,7 @@ def conjugate_step(
     """tau~ = phi^-1 o tau o phi with phi = Id + U-hat.
 
     The new principal part is (e^{i alpha/2} + p_01) eta and its reciprocal
-    partner; the split-off perturbation is returned with the transform.
+    partner; A = p_01 is returned with the conjugated map and the transform.
     """
     D = t.trunc_total
     # invertibility needs room relative to the radii; the crown containment
@@ -313,19 +305,9 @@ def conjugate_step(
         raise SeriesError(f"conjugating map too large to invert: ||U|| = {u_size:.3g}")
     phi_inv_tail = invert_near_identity(uv)
     phi = poly_link_from_U(uv, phi_inv_tail, label="cohomological")
-    T = t.components()
-    T_phi = substitute_pair(T, phi.forward)
-    T_new = substitute_pair(phi.inverse, T_phi)
+    T = substitute_pair(phi.inverse, substitute_pair(t.components(), phi.forward))
     A = t.p.crown_coefficient(0, 1).truncate(D // 2)
-    Ehalf = t.alpha.truncate(D // 2).exp(0.5j)
-    lam_series = Ehalf + A
-    p_t = T_new[0] - multiply(
-        CrownSeries.from_z_series(lam_series, D), CrownSeries.eta(D)
-    )
-    q_t = T_new[1] - multiply(
-        CrownSeries.from_z_series(lam_series.reciprocal(), D), CrownSeries.xi(D)
-    )
-    return IntermediatePair(t.alpha, A, p_t, q_t, phi)
+    return IntermediatePair(t.alpha, A, T, phi)
 
 
 def crown_escape_margin(
@@ -364,9 +346,10 @@ def theta_scaling(
 
     Theta = ((e^{i a/2} + A)(e^{-i a/2} + Abar))^{1/4} via exp(log/4) in the
     truncated z-ring; the new exponent is
-    alpha_+ = alpha - i (e^{-i a/2} A - e^{i a/2} Abar).
+    alpha_+ = alpha - i (e^{-i a/2} A - e^{i a/2} Abar).  T is conjugated to
+    Theta^-1 o T o Theta as ``prenormal.realform_scaling`` conjugates by mu.
     """
-    D = inter.p_t.trunc_total
+    D = inter.T[0].trunc_total
     Dz = D // 2
     alpha = inter.alpha.truncate(Dz)
     A = inter.A.truncate(Dz)
@@ -388,19 +371,7 @@ def theta_scaling(
     alpha_plus = inter.alpha.truncate(Dz) + (Em * A - Ep * A.conj()) * (-1j)
     alpha_plus = alpha_plus.project_real(realness_tol)
 
-    # exact conjugation of the intermediate pair by the scaling
-    lam_series = Ep + A
-    T = (
-        multiply(CrownSeries.from_z_series(lam_series, D), CrownSeries.eta(D)) + inter.p_t,
-        multiply(CrownSeries.from_z_series(lam_series.reciprocal(), D), CrownSeries.xi(D))
-        + inter.q_t,
-    )
-    fwd = link.forward_pair(D)
-    T_phi = substitute_pair(T, fwd)
-    prod = multiply(T_phi[0], T_phi[1])
-    th_at = prod.compose_z(theta.truncate(Dz))
-    th_inv_at = prod.compose_z(theta.reciprocal().truncate(Dz))
-    T_out = (multiply(th_inv_at, T_phi[0]), multiply(th_at, T_phi[1]))
+    T_out = substitute_pair(link.inverse_pair(D), substitute_pair(inter.T, link.forward_pair(D)))
     out = split_pair(T_out, alpha_plus, s_order=geom.s)
     return out, link
 

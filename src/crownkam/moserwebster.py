@@ -27,6 +27,11 @@ from .series import (
 )
 from .transforms import chain_apply
 
+# deck solve: bound on the leftover linear coefficient, relative to max|F|
+DECK_SOLVER_TOL = 1e-11
+# arguments sampled per modulus on each hyperbola
+HYPERBOLA_ARGS = 4
+
 
 @dataclass(frozen=True)
 class BishopSurface:
@@ -99,7 +104,7 @@ def frame_for(gamma: float) -> DiagonalFrame:
     return DiagonalFrame(gamma, lam, complex(a), complex(b))
 
 
-def deck_transformation(M: BishopSurface, solver_tol: float = 1e-11) -> MapPair:
+def deck_transformation(M: BishopSurface) -> MapPair:
     """Deck transformation (z1, w1) -> (z1, phi1) of the first projection.
 
     The height F(z1, .) = Q_gamma + f is centered at its fiberwise critical
@@ -110,7 +115,8 @@ def deck_transformation(M: BishopSurface, solver_tol: float = 1e-11) -> MapPair:
 
     No small divisors occur; the critical point solve gains one order per
     pass since d f/d w1 has order >= 2.  The leftover linear coefficient of
-    F - F(w_c) in t measures solver failure and is checked against tol.
+    F - F(w_c) in t measures solver failure and is checked against
+    ``DECK_SOLVER_TOL``.
     """
     D = M.trunc_total
     g = M.gamma
@@ -133,7 +139,7 @@ def deck_transformation(M: BishopSurface, solver_tol: float = 1e-11) -> MapPair:
     Hc = H.coeffs.copy()
     Hc[:, 0] = 0.0  # drop F(w_c)
     lin_defect = float(np.max(np.abs(Hc[:, 1])))
-    if lin_defect > solver_tol * max(1.0, F.max_abs_coeff()):
+    if lin_defect > DECK_SOLVER_TOL * max(1.0, F.max_abs_coeff()):
         raise SeriesError(
             f"deck solve: critical-point residual {lin_defect:.3e} exceeds tolerance"
         )
@@ -246,14 +252,13 @@ def hyperbola_image(
     omega: float,
     R: float,
     n_pts: int,
-    n_args: int = 4,
     surface: BishopSurface | None = None,
     frame: DiagonalFrame | None = None,
 ) -> list[dict]:
     """Sample the image of {xi eta = omega} under the chain and the embedding.
 
     Points (xi, omega/xi) are taken on ``n_pts`` log-spaced moduli in
-    (|omega|/R, R) at ``n_args`` arguments plus the two real-branch points
+    (|omega|/R, R) at ``HYPERBOLA_ARGS`` arguments plus the two real-branch points
     xi = +-sqrt(|omega|); each is pushed through the transform chain, then
     through the embedding.  By default the embedding is the invariant pair
     (phi1, Phi) = (xi + xi o tau1, (xi o tau1) xi); when the originating
@@ -285,8 +290,8 @@ def hyperbola_image(
 
     lo, hi = abs(omega) / R, R
     mods = np.exp(np.linspace(np.log(lo * 1.02), np.log(hi * 0.98), n_pts))
-    ks = np.arange(n_args)
-    xi0 = (mods[:, None] * np.exp(1j * (2.0 * np.pi * ks / n_args))).ravel()
+    ks = np.arange(HYPERBOLA_ARGS)
+    xi0 = (mods[:, None] * np.exp(1j * (2.0 * np.pi * ks / HYPERBOLA_ARGS))).ravel()
     arg_index = np.tile(ks, n_pts)
     sq = np.sqrt(abs(omega))
     if lo < sq < hi:

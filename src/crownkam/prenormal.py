@@ -42,11 +42,7 @@ MAX_HALVINGS = 40
 CONTRACTION_EXPONENT = 1.15
 
 
-def poincare_dulac(
-    t: InvolutionPair,
-    N: int,
-    divisor_floor: float = DIVISOR_FLOOR,
-) -> tuple[InvolutionPair, list, dict]:
+def poincare_dulac(t: InvolutionPair, N: int) -> tuple[InvolutionPair, list, dict]:
     """Remove non-resonant perturbation monomials up to total degree 2N+1.
 
     At each degree d the correction U_d = (u, v) is real and solves, per
@@ -81,7 +77,7 @@ def poincare_dulac(
             coeff = complex(P.coeffs[l, j])
             divisor = abs(np.exp(1j * lam * (l - j + 1)) - 1.0)
             min_div = min(min_div, divisor)
-            if divisor < divisor_floor:
+            if divisor < DIVISOR_FLOOR:
                 raise SeriesError(
                     f"near-resonant divisor |e^(i {l - j + 1} lam) - 1| = {divisor:.3e} "
                     f"at degree {d}"
@@ -167,9 +163,7 @@ def realform_scaling(
     alpha_check = CoeffSeries(keep, real=True, realness_tol=1.0)
 
     link = ScalingLink(mu.project_real(realness_tol), label="realform")
-    fwd = link.forward_pair(D)
-    inv = link.inverse_pair(D)
-    T = substitute_pair(inv, substitute_pair(t.components(), fwd))
+    T = substitute_pair(link.inverse_pair(D), substitute_pair(t.components(), link.forward_pair(D)))
     pair = split_pair(T, alpha_check, t.s_order)
     report = {
         "mu_imag_defect": mu_defect,
@@ -337,21 +331,16 @@ def _trial_step(prepared: InvolutionPair, geom: StepGeometry) -> tuple:
     return {"p_plus": p_plus, "target": A**CONTRACTION_EXPONENT, "delta": delta}, None
 
 
-def prenormalize(
-    t: InvolutionPair,
-    N: int,
-    divisor_floor: float = DIVISOR_FLOOR,
-    degeneracy_tol: float = DEGENERACY_TOL,
-) -> tuple[InvolutionPair, list, dict]:
+def prenormalize(t: InvolutionPair, N: int) -> tuple[InvolutionPair, list, dict]:
     """Full preparation: Poincare-Dulac, real-form scaling, rescale to the
     unit z^s coefficient.  Returns the prepared pair, the transform chain
     (composition order) and a report."""
-    pd_pair, chain, pd_report = poincare_dulac(t, N, divisor_floor)
+    pd_pair, chain, pd_report = poincare_dulac(t, N)
     scan = nonresonant_scan(pd_pair, 2 * N + 2)
     pair, link, rf_report = realform_scaling(pd_pair, N)
     chain = chain + [link]
     tilde = CoeffSeries(np.concatenate([[0.0], pair.alpha.coeffs[1:]]))
-    det = detect_nondegeneracy(tilde, degeneracy_tol)
+    det = detect_nondegeneracy(tilde)
     if det == "degenerate":
         report = {
             "poincare_dulac": pd_report,

@@ -604,14 +604,6 @@ class CrownSeries:
         (``_compose``)."""
         return _compose((self,), X, Y)[0]
 
-    def compose_z(self, h: CoeffSeries) -> "CrownSeries":
-        """h(self): univariate h evaluated on a bivariate argument (Horner)."""
-        D = self.trunc_total
-        out = CrownSeries.constant(h.coeffs[-1], D)
-        for k in range(h.trunc_z - 1, -1, -1):
-            out = multiply(out, self) + complex(h.coeffs[k])
-        return out
-
     # -- serialization -------------------------------------------------------------
 
     def to_json(self) -> list:
@@ -783,16 +775,34 @@ def rotation_factor(alpha: CoeffSeries, b: float, D: int) -> CrownSeries:
     return CrownSeries.from_z_series(alpha.truncate(D // 2).exp(1j * b), D)
 
 
+def scaling_pair(h: CoeffSeries, k: CoeffSeries, D: int) -> MapPair:
+    """(h(xi eta) xi, k(xi eta) eta): h_j at (j+1, j) and k_j at (j, j+1) for
+    j <= (D-1)//2.
+
+    The rotation principal parts, the scaling links and the linear crown
+    terms p_01 eta, q_10 xi all take this form.  The coefficients are those
+    of ``multiply(CrownSeries.from_z_series(h, D), CrownSeries.xi(D))`` and
+    its eta partner, bit for bit, except that every zero is +0.0: at D <= 2
+    that product can leave -0.0 in an empty slot.
+    """
+    out = []
+    for c, (dm, dn) in ((h, (1, 0)), (k, (0, 1))):
+        a = np.zeros((D + 1, D + 1), dtype=np.complex128)
+        j = np.arange(min(c.trunc_z, (D - 1) // 2) + 1)
+        a[j + dm, j + dn] = c.coeffs[j] + 0.0  # as in the product, -0.0 becomes +0.0
+        out.append(CrownSeries._adopt(a, D))
+    return tuple(out)
+
+
 def principal_part(alpha: CoeffSeries, b: float, D: int) -> MapPair:
     """(e^{i b alpha(xi eta)} xi, e^{-i b alpha(xi eta)} eta), the rotation map.
 
     The linear-in-(xi, eta) part of tau1 (b = -1/2, components swapped), of
-    sigma (b = 1) and of every conjugated pair in between.
+    sigma (b = 1) and of every conjugated pair in between.  The exponentials
+    are those of ``rotation_factor``.
     """
-    return (
-        multiply(rotation_factor(alpha, b, D), CrownSeries.xi(D)),
-        multiply(rotation_factor(alpha, -b, D), CrownSeries.eta(D)),
-    )
+    a = alpha.truncate(D // 2)
+    return scaling_pair(a.exp(1j * b), a.exp(-1j * b), D)
 
 
 MapPair = tuple[CrownSeries, CrownSeries]
@@ -812,28 +822,11 @@ def substitute_pair(F: MapPair, G: MapPair) -> MapPair:
     return tuple(_compose(F, *G))
 
 
-def invert_near_identity(
-    U: MapPair,
-    inverse_tol: float = INVERSE_TOL,
-    max_iters: int = MAX_INVERSE_ITERS,
-    guard: tuple[CrownNormParams, float, float] | None = None,
-) -> MapPair:
-    """V with (Id+U)o(Id+V) = Id up to truncation, by Newton's method from V = -U.
-
-    ``guard``, when given, is (norm params at (beta', r'), r', r'') and enforces
-    the smallness precondition ||U|| < beta' (r'-r'') / (30 r') before iterating.
-    """
+def invert_near_identity(U: MapPair, max_iters: int = MAX_INVERSE_ITERS) -> MapPair:
+    """V with (Id+U)o(Id+V) = Id up to truncation, by Newton's method from V = -U."""
     u, v = U
     u._matched(v)
-    if guard is not None:
-        np_, rp, rpp = guard
-        bound = np_.beta * (rp - rpp) / (30.0 * rp)
-        nu = u.crown_norm(np_) + v.crown_norm(np_)
-        if nu >= bound:
-            raise SeriesError(
-                f"near-identity inversion rejected: ||U|| = {nu:.3g} >= {bound:.3g}"
-            )
-    return _newton_inverse(U, (-u, -v), inverse_tol, max_iters, "near-identity inversion")
+    return _newton_inverse(U, (-u, -v), INVERSE_TOL, max_iters, "near-identity inversion")
 
 
 def _newton_inverse(

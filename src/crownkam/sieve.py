@@ -20,11 +20,11 @@ class IntervalSet:
 
     __slots__ = ("intervals",)
 
-    def __init__(self, intervals=(), merge_tol: float = MERGE_TOL):
+    def __init__(self, intervals=()):
         items = sorted((float(a), float(b)) for a, b in intervals if b >= a)
         merged: list[tuple[float, float]] = []
         for a, b in items:
-            if merged and a <= merged[-1][1] + merge_tol:
+            if merged and a <= merged[-1][1] + MERGE_TOL:
                 merged[-1] = (merged[-1][0], max(merged[-1][1], b))
             else:
                 merged.append((a, b))
@@ -129,14 +129,13 @@ def excise_resonances(
     K: float,
     delta: float,
     grid: int = DEFAULT_GRID,
-    root_tol: float = ROOT_TOL,
 ) -> IntervalSet:
     """Remove {omega : |e^{i n alpha(omega)} - 1| < delta, some 0 < |n| <= K+1}.
 
     Zones are located per resonance order n on a uniform grid (at least
     ``grid`` points per unit length, minimum 100 per interval) by the
     distance of n alpha(omega) to 2 pi Z; boundaries are sharpened by
-    bisection to root_tol and inflated by it.  delta = 0 returns the input.
+    bisection to ``ROOT_TOL`` and inflated by it.  delta = 0 returns the input.
     """
     if grid < 100:
         raise SeriesError("grid must be >= 100")
@@ -174,7 +173,7 @@ def excise_resonances(
                 for _ in range(80):
                     mid = 0.5 * (lo + hi)
                     fm = f(mid)
-                    if hi - lo < root_tol:
+                    if hi - lo < ROOT_TOL:
                         break
                     if flo * fm <= 0:
                         hi, fhi = mid, fm
@@ -190,7 +189,7 @@ def excise_resonances(
                         j += 1
                     lo = xs[i] if i == 0 else refine(xs[i - 1], xs[i], True)
                     hi = xs[j] if j == npts - 1 else refine(xs[j], xs[j + 1], False)
-                    cut.append((lo - root_tol, hi + root_tol))
+                    cut.append((lo - ROOT_TOL, hi + ROOT_TOL))
                     i = j + 1
                 else:
                     i += 1

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .series import CoeffSeries, CrownSeries, MapPair, identity_pair, multiply
+from .series import CoeffSeries, MapPair, identity_pair, scaling_pair
 
 
 @dataclass(frozen=True)
@@ -44,12 +44,7 @@ class ScalingLink:
         return self.theta.reciprocal()
 
     def forward_pair(self, D: int) -> MapPair:
-        th = CrownSeries.from_z_series(self.theta.truncate(D // 2), D)
-        th_inv = CrownSeries.from_z_series(self.theta_inv().truncate(D // 2), D)
-        return (
-            multiply(th, CrownSeries.xi(D)),
-            multiply(th_inv, CrownSeries.eta(D)),
-        )
+        return scaling_pair(self.theta, self.theta_inv(), D)
 
     def inverse_pair(self, D: int) -> MapPair:
         return ScalingLink(self.theta_inv(), self.label).forward_pair(D)

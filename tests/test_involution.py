@@ -113,7 +113,7 @@ def test_sigma_reversibility_residual():
     rng = np.random.default_rng(7)
     D = 8
     t = synthesize_pair(model_pair(D).alpha, random_real_U(rng, D, 1e-3))
-    sigma = compose_sigma(t, check_tol=1e-9, np_=NP)
+    sigma = compose_sigma(t)
     assert sigma.reversibility_residual(NP) <= 1e-9
 
 

@@ -9,6 +9,7 @@ from crownkam.involution import (
     InvolutionPair,
     compose_sigma,
     skew_term,
+    split_pair,
     synthesize_pair,
 )
 from crownkam.kamstep import (
@@ -28,6 +29,7 @@ from crownkam.series import (
     CrownSeries,
     SeriesError,
     multiply,
+    scaling_pair,
 )
 from crownkam.transforms import chain_apply
 
@@ -200,15 +202,17 @@ def test_conjugate_identity_on_linear():
     t = InvolutionPair(desk_alpha(), CrownSeries.zero(D), CrownSeries.zero(D))
     geom = desk_geometry(eps=1e-4, t=t)
     inter = conjugate_step(t, (CrownSeries.zero(D), CrownSeries.zero(D)), geom)
-    assert inter.p_t.coeff_1norm() < 1e-13
-    assert inter.q_t.coeff_1norm() < 1e-13
+    # A = 0, so the split against e^{i alpha/2} is the split against lambda
+    out = split_pair(inter.T, t.alpha)
+    assert out.p.coeff_1norm() < 1e-13
+    assert out.q.coeff_1norm() < 1e-13
 
 
 def test_theta_scaling_trivial():
     t = InvolutionPair(desk_alpha(), CrownSeries.zero(D), CrownSeries.zero(D))
     geom = desk_geometry(eps=1e-4, t=t)
     inter = IntermediatePair(
-        t.alpha, CoeffSeries.zero(D // 2), CrownSeries.zero(D), CrownSeries.zero(D),
+        t.alpha, CoeffSeries.zero(D // 2), t.components(),
         conjugate_step(t, (CrownSeries.zero(D), CrownSeries.zero(D)), geom).phi,
     )
     out, link = theta_scaling(inter, geom)
@@ -224,11 +228,12 @@ def test_theta_scaling_constant_shift():
     alpha = CoeffSeries(np.array([lam]), real=True)
     c = 0.01
     geom = desk_geometry(eps=1e-2, delta=0.5)
+    lam_series = CoeffSeries.constant(np.exp(0.5j * lam) + c, D // 2)
+    lam_xi, lam_eta = scaling_pair(lam_series.reciprocal(), lam_series, D)
     inter = IntermediatePair(
         alpha,
         CoeffSeries.constant(c, D // 2),
-        CrownSeries.zero(D),
-        CrownSeries.zero(D),
+        (lam_eta, lam_xi),
         conjugate_step(
             InvolutionPair(alpha, CrownSeries.zero(D), CrownSeries.zero(D)),
             (CrownSeries.zero(D), CrownSeries.zero(D)),

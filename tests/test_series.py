@@ -13,8 +13,10 @@ from crownkam.series import (
     multiply,
     principal_part,
     rotation_factor,
+    scaling_pair,
     substitute_pair,
 )
+from crownkam.transforms import ScalingLink
 
 from composition_helpers import compose_rotated
 
@@ -393,6 +395,28 @@ def test_principal_part_is_the_inline_product():
         )
         for g, w in zip(got, want):
             assert g.coeffs.tobytes() == w.coeffs.tobytes()
+    # scaling_pair and the scaling links against the same product; + 0.0
+    # turns only a -0.0 into +0.0, and multiply leaves -0.0 only in empty
+    # slots at D <= 2
+    rng = np.random.default_rng(386)
+    theta = CoeffSeries(np.array([1.0, 0.3, -0.2, 0.05]), real=True)
+    link = ScalingLink(theta)
+    for D in (1, 2, 7, 12):
+        cases = [
+            (link.forward_pair(D), (theta, theta.reciprocal())),
+            (link.inverse_pair(D), (theta.reciprocal(), theta.reciprocal().reciprocal())),
+        ]
+        for nh, nk in ((0, D), ((D - 1) // 2, 0), (D, (D - 1) // 2)):
+            h, k = (CoeffSeries(rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1))
+                    for n in (nh, nk))
+            cases.append((scaling_pair(h, k, D), (h, k)))
+        for got, (a, c) in cases:
+            want = (
+                multiply(CrownSeries.from_z_series(a, D), CrownSeries.xi(D)),
+                multiply(CrownSeries.from_z_series(c, D), CrownSeries.eta(D)),
+            )
+            for g, w in zip(got, want):
+                assert g.coeffs.tobytes() == (w.coeffs + 0.0).tobytes()
 
 
 def test_compose_rotated_preserves_product_functions():
@@ -533,14 +557,6 @@ def test_invert_raises_when_not_converged():
     U = (random_crown(rng, D, 0.01, 2), random_crown(rng, D, 0.01, 2))
     with pytest.raises(SeriesError, match="did not converge"):
         invert_near_identity(U, max_iters=1)
-
-
-def test_invert_guard_rejects_large_perturbation():
-    D = 5
-    U = (CrownSeries.xi(D) * 0.5, CrownSeries.zero(D))
-    np_ = CrownNormParams(0.001, 0.00005, 0.1)
-    with pytest.raises(SeriesError):
-        invert_near_identity(U, guard=(np_, 0.1, 0.05))
 
 
 # ---------------------------------------------------------------------------
