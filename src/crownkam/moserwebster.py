@@ -20,8 +20,8 @@ from .series import (
     CrownSeries,
     MapPair,
     SeriesError,
-    _newton_inverse,
     identity_pair,
+    invert_near_identity,
     multiply,
     substitute_pair,
 )
@@ -217,32 +217,11 @@ def reconstruct_surface(
     return scaled * (c_phi * np.exp(-0.5j * frame.lam))
 
 
-def invert_map(F: MapPair, tol: float = 1e-13, max_iters: int = 80) -> MapPair:
-    """Inverse of a map with invertible linear part, F o G = Id to truncation.
-
-    Newton's method started from the inverse A^{-1} of the linear part.
-    """
-    D = F[0].trunc_total
-    A = np.array(
-        [
-            [complex(F[0].coeffs[1, 0]), complex(F[0].coeffs[0, 1])],
-            [complex(F[1].coeffs[1, 0]), complex(F[1].coeffs[0, 1])],
-        ]
-    )
-    det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
-    if abs(det) < 1e-14:
-        raise SeriesError("linear part of the map is not invertible")
-    if abs(complex(F[0].coeffs[0, 0])) + abs(complex(F[1].coeffs[0, 0])) > 1e-13:
-        raise SeriesError("map must fix the origin")
-    Ainv = np.array([[A[1, 1], -A[0, 1]], [-A[1, 0], A[0, 0]]]) / det
-    xi, eta = identity_pair(D)
-    # F = Id + U and G = Id + V, with V starting at A^{-1} - I
-    U = (F[0] - xi, F[1] - eta)
-    V = (
-        xi * complex(Ainv[0, 0] - 1.0) + eta * complex(Ainv[0, 1]),
-        xi * complex(Ainv[1, 0]) + eta * complex(Ainv[1, 1] - 1.0),
-    )
-    V = _newton_inverse(U, V, tol, max_iters, "map inversion")
+def invert_map(F: MapPair) -> MapPair:
+    """Inverse G of a map that fixes the origin with invertible linear part,
+    F o G = G o F = Id to truncation: Id + ``invert_near_identity``(F - Id)."""
+    xi, eta = identity_pair(F[0].trunc_total)
+    V = invert_near_identity((F[0] - xi, F[1] - eta))
     return (xi + V[0], eta + V[1])
 
 

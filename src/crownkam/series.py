@@ -38,8 +38,6 @@ import numpy as np
 
 REALNESS_TOL = 1e-10
 EXP_TAIL_TOL = 1e-16
-INVERSE_TOL = 1e-14
-MAX_INVERSE_ITERS = 50
 
 
 class SeriesError(ValueError):
@@ -822,38 +820,53 @@ def substitute_pair(F: MapPair, G: MapPair) -> MapPair:
     return tuple(_compose(F, *G))
 
 
-def invert_near_identity(U: MapPair, max_iters: int = MAX_INVERSE_ITERS) -> MapPair:
-    """V with (Id+U)o(Id+V) = Id up to truncation, by Newton's method from V = -U."""
-    u, v = U
-    u._matched(v)
-    return _newton_inverse(U, (-u, -v), INVERSE_TOL, max_iters, "near-identity inversion")
+def invert_near_identity(U: MapPair) -> MapPair:
+    """V with (Id+U)o(Id+V) = Id up to truncation, in one sweep over degrees.
 
-
-def _newton_inverse(
-    U: MapPair, V: MapPair, tol: float, max_iters: int, what: str
-) -> MapPair:
-    """V with (Id+U)o(Id+V) = Id up to truncation, by Newton's method from V.
-
-    Each pass forms the error E = (Id+U)o(Id+V) - Id = V + Uo(Id+V) with one
-    ``substitute_pair`` and steps V <- V - (I + DV) E, where I + DV, the
-    Jacobian of Id+V, stands for the inverse Jacobian of Id+U at Id+V; the
-    error falls quadratically.  The stationary point is the exact truncated
-    inverse, since I + DV is invertible in the ring whenever Id+V has an
-    invertible linear part.  It stops when the largest coefficient of a step
-    is below ``tol`` times max(1, largest coefficient of V): a step cannot
-    fall below the rounding of the terms that form E, which grows with V.
+    Id+V inverts Id+U when V + R = 0, R = U(X, Y) with X = xi + V_0 and
+    Y = eta + V_1.  U fixes the origin, so degree d of R reads V at degrees
+    < d through ``_compose``'s powers of Y and Horner accumulators, and V_d
+    only through U's linear part L: R_d = R'_d + L V_d, where R'_d is formed
+    with V_d = 0.  Each degree d forms R'_d with ``_compose``'s products
+    (only the accumulators m <= D - d reach R through X^m), solves
+    V_d = -(I + L)^{-1} R'_d, writes V_d into the pads of X and Y and adds
+    its rank-one terms: row 1 of the powers, a_m1 V_1,d in the rows and
+    a_(m+1)0 V_0,d in the Horner update.  This is the forward-substitution
+    form of power-series reversion, exact in the truncated ring; the result
+    is also a left inverse.
     """
-    D = U[0]._matched(V[0])
-    xi, eta = identity_pair(D)
-    for _ in range(max_iters):
-        W = substitute_pair(U, (xi + V[0], eta + V[1]))
-        e0, e1 = V[0] + W[0], V[1] + W[1]
-        step = [
-            e + multiply(v.partial(0), e0) + multiply(v.partial(1), e1)
-            for v, e in zip(V, (e0, e1))
-        ]
-        V = (V[0] - step[0], V[1] - step[1])
-        size = max(1.0, V[0].max_abs_coeff(), V[1].max_abs_coeff())
-        if max(step[0].max_abs_coeff(), step[1].max_abs_coeff()) < tol * size:
-            return V
-    raise SeriesError(f"{what} did not converge in {max_iters} iterations")
+    u, v = U
+    D = u._matched(v)
+    if abs(complex(u.coeffs[0, 0])) + abs(complex(v.coeffs[0, 0])) > 1e-13:
+        raise SeriesError("map must fix the origin")
+    a, b = 1.0 + u.coeffs[1, 0], u.coeffs[0, 1]
+    c, e = v.coeffs[1, 0], 1.0 + v.coeffs[0, 1]
+    det = a * e - b * c
+    if abs(det) < 1e-14:
+        raise SeriesError("linear part of the map is not invertible")
+    solve = np.array([[e, -b], [-c, a]]) / -det
+    coeffs = np.stack([u.coeffs, v.coeffs])
+    flat, start, _, windows = _graded(D)
+    rows_x, rows_y = _block_rows(CrownSeries.xi(D)), _block_rows(CrownSeries.eta(D))
+    lead = D * (D + 1)  # entry p of window row lead + d is coefficient (p, d - p)
+    powers = np.zeros((D + 1, start[-1]), dtype=np.complex128)
+    powers[0, 0] = 1.0
+    acc = np.zeros((2, D + 1, start[-1]), dtype=np.complex128)
+    acc[:, :, 0] = coeffs[:, :, 0]
+    V = np.zeros((2, start[-1]), dtype=np.complex128)
+    for d in range(1, D + 1):
+        s, top = start[d], D + 1 - d
+        deg = slice(s, s + d + 1)
+        np.matmul(powers[:d, :s], rows_y[windows[d], : d + 1], out=powers[1 : d + 1, deg])
+        acc[:, :top, deg] = coeffs[:, :top, : d + 1] @ powers[: d + 1, deg]
+        acc[:, :top, deg] += acc[:, 1 : top + 1, :s] @ rows_x[windows[d], : d + 1]
+        V[:, deg] = solve @ acc[:, 0, deg]
+        rows_x[lead + d, : d + 1] += V[0, deg]
+        rows_y[lead + d, : d + 1] += V[1, deg]
+        powers[1, deg] += V[1, deg]
+        acc[:, :top, deg] += (
+            coeffs[:, :top, 1, None] * V[1, deg] + coeffs[:, 1 : top + 1, 0, None] * V[0, deg]
+        )
+    out = np.zeros((2, (D + 1) ** 2), dtype=np.complex128)
+    out[:, flat] = V
+    return tuple(CrownSeries._adopt(w.reshape(D + 1, D + 1), D) for w in out)

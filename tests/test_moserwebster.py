@@ -187,19 +187,6 @@ def test_invert_map_roundtrip():
     assert (FG[1] - CrownSeries.eta(D)).max_abs_coeff() < 1e-11
 
 
-def test_invert_map_raises_when_not_converged():
-    D = 6
-    F = (
-        CrownSeries.xi(D) * 1.1 + CrownSeries.eta(D) * 0.3 + CrownSeries.monomial(2, 0, D, 0.05),
-        CrownSeries.xi(D) * -0.2 + CrownSeries.eta(D) * 0.9 + CrownSeries.monomial(1, 1, D, 0.05),
-    )
-    with pytest.raises(SeriesError, match="did not converge"):
-        invert_map(F, max_iters=1)
-    G = invert_map(F)
-    FG = substitute_pair(F, G)
-    assert (FG[0] - CrownSeries.xi(D)).max_abs_coeff() < 1e-13
-
-
 # ---------------------------------------------------------------------------
 # hyperbola sampling
 # ---------------------------------------------------------------------------

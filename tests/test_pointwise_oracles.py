@@ -9,11 +9,9 @@ point sizes.
 """
 
 import numpy as np
-import pytest
 
-from crownkam.involution import InvolutionPair, compose_sigma, synthesize_pair
+from crownkam.involution import compose_sigma, synthesize_pair
 from crownkam.kamstep import (
-    IntermediatePair,
     StepGeometry,
     conjugate_step,
     divisor_minimum,

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import crownkam.series as series
 from crownkam.series import (
     CoeffSeries,
     CrownNormParams,
@@ -528,12 +529,20 @@ def test_invert_zero():
 
 
 def test_invert_constant_shift():
+    # Id+V inverts Id+U only when U fixes the origin
     D = 5
-    c = 0.037 - 0.011j
-    U = (CrownSeries.constant(c, D), CrownSeries.zero(D))
-    V = invert_near_identity(U)
-    assert complex(V[0].coeffs[0, 0]) == pytest.approx(-c, abs=1e-14)
-    assert V[1].coeff_1norm() < 1e-14
+    U = (CrownSeries.constant(0.037 - 0.011j, D), CrownSeries.zero(D))
+    with pytest.raises(SeriesError, match="map must fix the origin"):
+        invert_near_identity(U)
+
+
+def test_invert_rejects_singular_linear_part():
+    # I + L = [[0.5, 1], [0.25, 0.5]] has determinant 0
+    D = 5
+    xi, eta = identity_pair(D)
+    U = (xi * -0.5 + eta + CrownSeries.monomial(2, 0, D, 0.1), xi * 0.25 + eta * -0.5)
+    with pytest.raises(SeriesError, match="linear part of the map is not invertible"):
+        invert_near_identity(U)
 
 
 def test_invert_quadratic_residual():
@@ -551,12 +560,38 @@ def test_invert_quadratic_residual():
         assert res <= 10 * 1e-14 + 1e-13
 
 
-def test_invert_raises_when_not_converged():
-    rng = np.random.default_rng(44)
-    D = 8
-    U = (random_crown(rng, D, 0.01, 2), random_crown(rng, D, 0.01, 2))
-    with pytest.raises(SeriesError, match="did not converge"):
-        invert_near_identity(U, max_iters=1)
+def decaying_pair(rng, D, linear):
+    """U of order 2 with coefficients 0.1 N(0,1)_C 2^-(m+n), plus the linear
+    part [[U_0(1,0), U_0(0,1)], [U_1(1,0), U_1(0,1)]] = linear."""
+    m, n = np.indices((D + 1, D + 1))
+    out = []
+    for row in linear:
+        c = random_crown(rng, D, 0.1, 2).coeffs * 2.0 ** -(m + n).astype(float)
+        c[1, 0], c[0, 1] = row
+        out.append(CrownSeries(c, D))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("linear", [((0, 0), (0, 0)), ((0.2, -0.1j), (0.15, -0.1 + 0.1j))])
+@pytest.mark.parametrize("D", [12, 24, 36, 48])
+def test_inverse_is_exact_on_both_sides(D, linear):
+    U = decaying_pair(np.random.default_rng(500 + D), D, linear)
+    V = invert_near_identity(U)
+    xi, eta = identity_pair(D)
+    F, G = (xi + U[0], eta + U[1]), (xi + V[0], eta + V[1])
+    for W in (substitute_pair(F, G), substitute_pair(G, F)):
+        assert max((W[0] - xi).max_abs_coeff(), (W[1] - eta).max_abs_coeff()) <= 1e-14
+
+
+def test_inversion_neither_composes_nor_multiplies(monkeypatch):
+    # one sweep over degrees on the graded layout, not passes of compositions
+    def refuse(*args):
+        raise AssertionError("the inverter composed or multiplied")
+
+    U = decaying_pair(np.random.default_rng(600), 24, ((0.2, -0.1j), (0.15, 0.1)))
+    for name in ("substitute_pair", "_compose", "multiply"):
+        monkeypatch.setattr(series, name, refuse)
+    invert_near_identity(U)
 
 
 # ---------------------------------------------------------------------------
