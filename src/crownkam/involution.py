@@ -27,8 +27,11 @@ from .series import (
     rotation_factor,
     substitute_pair,
 )
+from .transforms import poly_link_from_U
 
 STRUCTURAL_TOL = 1e-9
+# realness bound of synthesize_pair's U, relative to max(1, max |coefficient|)
+SYNTH_REALNESS_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -149,27 +152,19 @@ def split_pair(T: MapPair, alpha: CoeffSeries, s_order: int = 1) -> InvolutionPa
     return InvolutionPair(alpha, T[0] - P[1], T[1] - P[0], s_order)
 
 
-def synthesize_pair(
-    alpha: CoeffSeries,
-    U: MapPair,
-    s_order: int = 1,
-    realness_tol: float = 1e-8,
-) -> InvolutionPair:
+def synthesize_pair(alpha: CoeffSeries, U: MapPair, s_order: int = 1) -> InvolutionPair:
     """Involution-closed test instance: conjugate the exact model by Id + U.
 
     The model (e^{i alpha/2} eta, e^{-i alpha/2} xi) is an exact involution in
     the truncated ring, and conjugation by a rho-commuting map keeps it one,
     so random real U of order >= 2 yields valid pairs of tunable size.
     """
-    if not U[0].is_real(realness_tol) or not U[1].is_real(realness_tol):
+    if not U[0].is_real(SYNTH_REALNESS_TOL) or not U[1].is_real(SYNTH_REALNESS_TOL):
         raise SeriesError("synthesize_pair needs a rho-commuting (real) U")
     D = U[0]._matched(U[1])
-    xi, eta = identity_pair(D)
-    psi = (xi + U[0], eta + U[1])
-    psi_inv_tail = invert_near_identity(U)
-    psi_inv = (xi + psi_inv_tail[0], eta + psi_inv_tail[1])
+    psi = poly_link_from_U(U, invert_near_identity(U))
     model = InvolutionPair(alpha, CrownSeries.zero(D), CrownSeries.zero(D), s_order)
-    T = substitute_pair(psi_inv, substitute_pair(model.components(), psi))
+    T = substitute_pair(psi.inverse, substitute_pair(model.components(), psi.forward))
     return split_pair(T, alpha, s_order)
 
 

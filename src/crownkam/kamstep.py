@@ -34,6 +34,10 @@ from .series import (
 from .sieve import IntervalSet
 from .transforms import PolyLink, ScalingLink, poly_link_from_U
 
+# realness bound of the cohomological solution and of alpha_+, relative to
+# max(1, max |coefficient|)
+STEP_REALNESS_TOL = 1e-7
+
 
 @dataclass(frozen=True)
 class StepGeometry:
@@ -184,10 +188,7 @@ def calibrate_delta(alpha: CoeffSeries, D: int, geom: StepGeometry, delta: float
 
 
 def solve_cohomological(
-    t: InvolutionPair,
-    sigma: ReversibleMap,
-    geom: StepGeometry,
-    realness_tol: float = 1e-7,
+    t: InvolutionPair, sigma: ReversibleMap, geom: StepGeometry
 ) -> MapPair:
     """The approximate cohomological solution (u-hat, v-hat).
 
@@ -232,7 +233,7 @@ def solve_cohomological(
     v = CrownSeries.crown_reassemble(v_entries, D)
     scale = max(1.0, u.max_abs_coeff(), v.max_abs_coeff())
     defect = max(u.realness_defect(), v.realness_defect())
-    if defect > realness_tol * scale:
+    if defect > STEP_REALNESS_TOL * scale:
         raise SeriesError(f"cohomological solution failed realness: {defect:.3e}")
     u = CrownSeries(u.coeffs.real, D)
     v = CrownSeries(v.coeffs.real, D)
@@ -340,12 +341,12 @@ def crown_escape_margin(
 
 
 def theta_scaling(
-    inter: IntermediatePair, geom: StepGeometry, realness_tol: float = 1e-7
+    inter: IntermediatePair, geom: StepGeometry
 ) -> tuple[InvolutionPair, ScalingLink]:
     """Product-preserving rescale restoring a unit-modulus principal part.
 
-    Theta = ((e^{i a/2} + A)(e^{-i a/2} + Abar))^{1/4} via exp(log/4) in the
-    truncated z-ring; the new exponent is
+    Theta = ((e^{i a/2} + A)(e^{-i a/2} + Abar))^{1/4} by the binomial
+    series in the truncated z-ring; the new exponent is
     alpha_+ = alpha - i (e^{-i a/2} A - e^{i a/2} Abar).  T is conjugated to
     Theta^-1 o T o Theta as ``prenormal.realform_scaling`` conjugates by mu.
     """
@@ -359,17 +360,11 @@ def theta_scaling(
     Ep = alpha.exp(0.5j)
     Em = alpha.exp(-0.5j)
     w = Em * A + Ep * A.conj() + A * A.conj()
-    radicand = w + 1.0
-    theta = radicand.log() * 0.25
-    theta = theta.exp()
-    defect = theta.realness_defect()
-    if defect > realness_tol * max(1.0, float(np.max(np.abs(theta.coeffs)))):
-        raise SeriesError(f"Theta failed realness: {defect:.3e}")
-    theta = theta.project_real()
+    theta = (w + 1.0).power(0.25).project_real()
     link = ScalingLink(theta, label="theta-scaling")
 
     alpha_plus = inter.alpha.truncate(Dz) + (Em * A - Ep * A.conj()) * (-1j)
-    alpha_plus = alpha_plus.project_real(realness_tol)
+    alpha_plus = alpha_plus.project_real(STEP_REALNESS_TOL)
 
     T_out = substitute_pair(link.inverse_pair(D), substitute_pair(inter.T, link.forward_pair(D)))
     out = split_pair(T_out, alpha_plus, s_order=geom.s)

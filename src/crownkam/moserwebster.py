@@ -149,7 +149,7 @@ def deck_transformation(M: BishopSurface) -> MapPair:
     G = CrownSeries(G, D)
 
     # psi = t sqrt(G/gamma); the map (z1, t) -> (z1, psi) is unipotent-ish
-    unit = (G * (1.0 / g)).sqrt()
+    unit = (G * (1.0 / g)).power(0.5)
     psi = multiply(w1, unit)
     P = (z1, psi)
     Pinv = invert_map(P)

@@ -30,11 +30,13 @@ from .series import (
     invert_near_identity,
     substitute_pair,
 )
-from .sieve import IntervalSet
+from .sieve import IntervalSet, smallness_lhs
 from .transforms import RadialLink, ScalingLink, poly_link_from_U
 
 DIVISOR_FLOOR = 1e-8
 DEGENERACY_TOL = 1e-12
+# realness bound of mu and alpha-check, relative to max(1, max |coefficient|)
+REALFORM_REALNESS_TOL = 1e-9
 # radius search: first radius, halvings allowed, and the trial step's
 # acceptance p_+ <= A^CONTRACTION_EXPONENT
 R_START = 0.24
@@ -128,9 +130,7 @@ def nonresonant_scan(pair: InvolutionPair, order_below: int, tol: float = 1e-11)
     return worst / scale
 
 
-def realform_scaling(
-    t: InvolutionPair, N: int, realness_tol: float = 1e-9
-) -> tuple[InvolutionPair, ScalingLink, dict]:
+def realform_scaling(t: InvolutionPair, N: int) -> tuple[InvolutionPair, ScalingLink, dict]:
     """Absorb the resonant part into a real exponent via mu = (...)^{1/4}.
 
     mu(z) = ((e^{i lam/2} + C(z))(e^{-i lam/2} + Cbar(z)))^{1/4} and the new
@@ -148,21 +148,19 @@ def realform_scaling(
     em = np.exp(-0.5j * lam)
     ep = np.exp(0.5j * lam)
     w = C * em + C.conj() * ep + C * C.conj()
-    radicand = w + 1.0
-    mu = radicand.log() * 0.25
-    mu = mu.exp()
+    mu = (w + 1.0).power(0.25)
     mu_defect = mu.realness_defect()
     L = ((C * em + 1.0).log() - (C.conj() * ep + 1.0).log()) * 0.5
     alpha_check = CoeffSeries(np.concatenate([[lam], np.zeros(Dz)])) + L * (-2j)
     alpha_defect = alpha_check.realness_defect()
-    if alpha_defect > realness_tol * max(1.0, float(np.max(np.abs(alpha_check.coeffs)))):
+    if alpha_defect > REALFORM_REALNESS_TOL * max(1.0, float(np.max(np.abs(alpha_check.coeffs)))):
         raise SeriesError(f"alpha-check failed realness: {alpha_defect:.3e}")
     keep = np.zeros(Dz + 1, dtype=np.complex128)
     nkeep = min(N, Dz)
     keep[: nkeep + 1] = alpha_check.coeffs[: nkeep + 1]
     alpha_check = CoeffSeries(keep, real=True, realness_tol=1.0)
 
-    link = ScalingLink(mu.project_real(realness_tol), label="realform")
+    link = ScalingLink(mu.project_real(REALFORM_REALNESS_TOL), label="realform")
     T = substitute_pair(link.inverse_pair(D), substitute_pair(t.components(), link.forward_pair(D)))
     pair = split_pair(T, alpha_check, t.s_order)
     report = {
@@ -222,20 +220,6 @@ class RadiusResult:
     trial: dict | None = None
 
 
-def smallness_lhs(A: float, s: int, r_star: float) -> float:
-    """Left side of the rigorous radius inequality at eps0 = A^{49/50},
-    r0 = (3/4) r_*, r1 = (9/16) r_*."""
-    if A <= 0.0:
-        return 0.0
-    ratio = 7.0 / 8.0 + (1.0 / 8.0) * (3.0 / 4.0)
-    return (
-        (abs(np.log(A)) / abs(np.log(ratio)) + 2.0)
-        * (16 * s + 1) ** (16 * s)
-        * A ** ((49.0 / 50.0) / (2400.0 * s * s))
-        / (((3.0 / 4.0) * r_star - (9.0 / 16.0) * r_star) * (9.0 / 16.0) * r_star)
-    )
-
-
 def practical_beta(eps: float, s: int, r: float) -> float:
     """The working crown width: the schedule value capped at r^2/8.
 
@@ -261,8 +245,9 @@ def radius_search(prepared: InvolutionPair) -> RadiusResult:
     for _ in range(MAX_HALVINGS):
         A = 10.0 * max(prepared.p.full_norm(r), prepared.q.full_norm(r))
         alpha_conditions = _alpha_conditions(prepared.alpha, lam, s, r)
-        lhs = smallness_lhs(A, s, r)
-        rigorous_ok = bool(lhs < 1.0) if A > 0 else True
+        # the verbatim inequality of the schedule at eps0 = A^{49/50}, r0 = (3/4) r_*
+        lhs = smallness_lhs(s, 0.75 * r, A ** (49.0 / 50.0)) if A > 0.0 else 0.0
+        rigorous_ok = bool(lhs < 1.0)
         if A <= 1e-13:  # perturbation at truncation-noise level: trivially in
             return RadiusResult(
                 r, A, "case1", A, 0.0, 0.0, rigorous_ok, lhs, alpha_conditions

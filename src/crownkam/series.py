@@ -37,7 +37,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 REALNESS_TOL = 1e-10
-EXP_TAIL_TOL = 1e-16
 
 
 class SeriesError(ValueError):
@@ -53,6 +52,27 @@ def _circle(omega, beta: float, n: int) -> np.ndarray:
         return omega
     th = 2.0 * np.pi * np.arange(n) / n
     return omega + beta * np.exp(1j * th)
+
+
+def _check_cut(c0: complex, name: str) -> None:
+    """Refuse a constant term on or next to the principal cut (-inf, 0]."""
+    if c0 == 0 or (c0.real < 0 and abs(c0.imag) < 1e-14 * abs(c0)):
+        raise SeriesError(f"{name} branch-cut proximity at constant term")
+
+
+def _binomial_series(c0: complex, p: float, n: int) -> list:
+    """c0^p C(p, k) for k < n: the Taylor weights of c0^p (1 + u)^p.
+
+    A fractional p needs c0 away from the cut, any p a nonzero c0.
+    """
+    if c0 == 0:
+        raise SeriesError(f"cannot raise a series with zero constant term to the power {p}")
+    if p != int(p):
+        _check_cut(c0, "power")
+    c = [c0**p]
+    for k in range(1, n):
+        c.append(c[-1] * (p - k + 1) / k)
+    return c
 
 
 # ---------------------------------------------------------------------------
@@ -188,53 +208,47 @@ class CoeffSeries:
         """
         return float(np.max(np.abs(self.eval(_circle(omega, beta, n_samples)))))
 
+    def _taylor(self, c, scale: complex = 1.0) -> "CoeffSeries":
+        """sum_k c[k] g^k with g = scale (f - f(0)) in the truncated ring, by
+        Horner.
+
+        g has order >= 1, so its powers above the truncation vanish and c
+        holds one weight per coefficient of f.
+        """
+        g = self.coeffs * scale
+        g[0] = 0.0
+        acc = np.zeros(g.size, dtype=np.complex128)
+        acc[0] = c[-1]
+        for ck in c[-2::-1]:
+            acc = np.convolve(acc, g)[: g.size]
+            acc[0] += ck
+        return CoeffSeries(acc)
+
     def reciprocal(self) -> "CoeffSeries":
-        c0 = self.coeffs[0]
-        if c0 == 0:
-            raise SeriesError("cannot invert a series with zero constant term")
-        n = self.trunc_z
-        inv = np.zeros(n + 1, dtype=np.complex128)
-        inv[0] = 1.0 / c0
-        for k in range(1, n + 1):
-            inv[k] = -np.dot(self.coeffs[1 : k + 1], inv[k - 1 :: -1][: k]) / c0
-        return CoeffSeries(inv)
+        return self.power(-1)
+
+    def power(self, p: float) -> "CoeffSeries":
+        """f^p = f(0)^p (1 + u)^p with u = f/f(0) - 1 (principal branch)."""
+        c0 = complex(self.coeffs[0])
+        return self._taylor(_binomial_series(c0, p, self.coeffs.size), 1.0 / c0)
 
     def exp(self, a: complex = 1.0) -> "CoeffSeries":
-        """exp(a*f) as a truncated series; requires bounded constant term."""
+        """exp(a*f) = e^{a f(0)} sum_k (a f - a f(0))^k / k!; requires bounded
+        constant term."""
         c0 = a * self.coeffs[0]
         if abs(c0.real) >= 50.0:
             raise SeriesError(f"exp overflow guard tripped: |Re(a f(0))| = {abs(c0.real):.3g}")
-        head = np.exp(c0)
-        n = self.trunc_z
-        g = a * self.coeffs.copy()
-        g[0] = 0.0
-        acc = np.zeros(n + 1, dtype=np.complex128)
-        acc[0] = 1.0
-        term = np.zeros(n + 1, dtype=np.complex128)
-        term[0] = 1.0
-        for k in range(1, n + 1):
-            term = np.convolve(term, g)[: n + 1] / k
-            acc += term
-            if float(np.max(np.abs(term))) < EXP_TAIL_TOL:
-                break
-        return CoeffSeries(head * acc)
+        k = np.arange(self.coeffs.size)
+        return self._taylor(np.exp(c0) / np.cumprod(np.maximum(k, 1.0)), a)
 
     def log(self) -> "CoeffSeries":
-        """Principal log of a series with constant term away from the cut."""
-        c0 = self.coeffs[0]
-        if c0 == 0 or (c0.real < 0 and abs(c0.imag) < 1e-14 * abs(c0)):
-            raise SeriesError("log branch-cut proximity at constant term")
-        n = self.trunc_z
-        g = self.coeffs / c0
-        g[0] = 0.0
-        acc = np.zeros(n + 1, dtype=np.complex128)
-        term = np.zeros(n + 1, dtype=np.complex128)
-        term[0] = 1.0
-        for k in range(1, n + 1):
-            term = np.convolve(term, g)[: n + 1]
-            acc += ((-1.0) ** (k + 1) / k) * term
-        acc[0] = np.log(c0)
-        return CoeffSeries(acc)
+        """Principal log f = log f(0) + log(1 + u), u = f/f(0) - 1, for a
+        constant term away from the cut."""
+        c0 = complex(self.coeffs[0])
+        _check_cut(c0, "log")
+        k = np.arange(1, self.coeffs.size)
+        c = np.concatenate(([np.log(c0)], (-1.0) ** (k + 1) / k))
+        return self._taylor(c, 1.0 / c0)
 
     # -- serialization -----------------------------------------------------
 
@@ -547,42 +561,14 @@ class CrownSeries:
 
     # -- truncated-ring analytics -------------------------------------------------
 
-    def exp(self, a: complex = 1.0) -> "CrownSeries":
-        """exp(a*f) summed until the term's max coefficient is below tolerance."""
-        D = self.trunc_total
-        c0 = a * complex(self.coeffs[0, 0])
-        if abs(c0.real) >= 50.0:
-            raise SeriesError(f"exp overflow guard tripped: |Re(a f(0,0))| = {abs(c0.real):.3g}")
-        g = a * self
-        g = g - complex(g.coeffs[0, 0])
-        acc = CrownSeries.constant(1.0, D)
-        term = CrownSeries.constant(1.0, D)
-        for k in range(1, 2 * (D + 1)):
-            term = multiply(term, g) * (1.0 / k)
-            acc = acc + term
-            if term.max_abs_coeff() < EXP_TAIL_TOL:
-                break
-        return acc * np.exp(c0)
-
-    def log(self) -> "CrownSeries":
-        """Principal log of a series with constant term away from the cut."""
+    def power(self, p: float) -> "CrownSeries":
+        """f^p: f(0,0)^p times the binomial series (1 + u)^p composed into
+        u = f/f(0,0) - 1 (``_compose``); the principal branch."""
         D = self.trunc_total
         c0 = complex(self.coeffs[0, 0])
-        if c0 == 0 or (c0.real < 0 and abs(c0.imag) < 1e-14 * abs(c0)):
-            raise SeriesError("log branch-cut proximity at constant term")
-        u = self * (1.0 / c0) - 1.0
-        acc = CrownSeries.constant(np.log(c0), D)
-        term = CrownSeries.constant(1.0, D)
-        for k in range(1, D + 2):
-            term = multiply(term, u)
-            if term.max_abs_coeff() < EXP_TAIL_TOL:
-                break
-            acc = acc + term * ((-1.0) ** (k + 1) / k)
-        return acc
-
-    def sqrt(self) -> "CrownSeries":
-        """Principal square root via exp(log/2)."""
-        return self.log().exp(0.5)
+        h = np.zeros((D + 1, D + 1), dtype=np.complex128)
+        h[:, 0] = _binomial_series(c0, p, D + 1)
+        return CrownSeries._adopt(h, D).substitute((self - c0) * (1.0 / c0), CrownSeries.zero(D))
 
     def partial(self, var: int) -> "CrownSeries":
         """Partial derivative in xi (var = 0) or eta (var = 1)."""

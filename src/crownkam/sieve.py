@@ -267,13 +267,20 @@ def build_schedule(s: int, r0: float, eps0: float, max_nu: int) -> Schedule:
         zeta = zeta + eps ** (1.0 / 3.0)
         eps = eps**1.25
         r = r_next
+    sch.feasibility_lhs = smallness_lhs(s, r0, eps0)
+    sch.feasible_rigorous = bool(sch.feasibility_lhs < 1.0)
+    return sch
+
+
+def smallness_lhs(s: int, r0: float, eps0: float) -> float:
+    """Left side of the verbatim smallness inequality at (eps0, r0) with
+    r1 = (3/4) r0:
+    (|ln eps0| / |ln(7/8 + r1/(8 r0))| + 2) (16s+1)^(16s) eps0^(1/(2400 s^2))
+    / ((r0 - r1) r1)."""
     r1 = r0 - r0 / 4.0
-    lhs = (
+    return float(
         (abs(np.log(eps0)) / abs(np.log(7.0 / 8.0 + r1 / (8.0 * r0))) + 2.0)
         * (16 * s + 1) ** (16 * s)
         * eps0 ** (1.0 / (2400.0 * s * s))
         / ((r0 - r1) * r1)
     )
-    sch.feasibility_lhs = float(lhs)
-    sch.feasible_rigorous = bool(lhs < 1.0)
-    return sch

@@ -12,7 +12,6 @@ from crownkam.prenormal import (
     prenormalize,
     radius_search,
     realform_scaling,
-    smallness_lhs,
 )
 from crownkam.series import (
     CoeffSeries,
@@ -22,6 +21,7 @@ from crownkam.series import (
     multiply,
     substitute_pair,
 )
+from crownkam.sieve import build_schedule, smallness_lhs
 
 LAM = 2 * np.arccos(1 / (2 * 0.77))  # gamma = 0.77: far from low resonances
 
@@ -276,7 +276,17 @@ def test_smallness_inequality_fails_at_every_double():
     As = np.logspace(-308, 0, 309)
     rs = np.geomspace(1e-7, 0.24, 50)
     for s in range(1, 5):
-        assert min(smallness_lhs(A, s, r) for A in As for r in rs) > 1.0
+        assert min(smallness_lhs(s, 0.75 * r, A ** (49 / 50)) for A in As for r in rs) > 1.0
+
+
+def test_radius_search_reports_the_schedule_inequality():
+    # rigorous_lhs is the schedule's feasibility_lhs at eps0 = A^{49/50},
+    # r0 = (3/4) r_*: the first factor reads |ln eps0|, not |ln A|
+    t = prepared_fixture()
+    res = radius_search(t)
+    sch = build_schedule(t.s_order, 0.75 * res.r_star, res.A ** (49 / 50), 1)
+    assert res.rigorous_lhs == sch.feasibility_lhs
+    assert res.rigorous_feasible is sch.feasible_rigorous is False
 
 
 def test_full_prenormalize_pipeline():

@@ -322,37 +322,71 @@ def test_conjugate_involutive():
 
 
 # ---------------------------------------------------------------------------
-# exponentials
+# exp, log and powers
 # ---------------------------------------------------------------------------
 
 
 def test_exp_of_zero_is_one():
-    e = CrownSeries.zero(5).exp()
-    assert e.coeffs[0, 0] == 1.0
+    e = CoeffSeries.zero(5).exp()
+    assert e.coeffs[0] == 1.0
     assert np.count_nonzero(e.coeffs) == 1
 
 
 def test_exp_of_constant():
     lam = 0.7 + 0.0j
     b = 0.43
-    e = CrownSeries.constant(lam, 4).exp(1j * b)
-    assert complex(e.coeffs[0, 0]) == pytest.approx(np.exp(1j * b * lam), rel=1e-14)
+    e = CoeffSeries.constant(lam, 4).exp(1j * b)
+    assert complex(e.coeffs[0]) == pytest.approx(np.exp(1j * b * lam), rel=1e-14)
     assert np.count_nonzero(e.coeffs) == 1
 
 
 def test_exp_inverse_pairing():
     rng = np.random.default_rng(31)
-    f = random_crown(rng, 6, scale=0.3)
+    f = CoeffSeries((rng.standard_normal(7) + 1j * rng.standard_normal(7)) * 0.3)
     a = 0.9 - 0.2j
-    prod = multiply(f.exp(a), f.exp(-a))
-    expect = np.zeros_like(prod.coeffs)
-    expect[0, 0] = 1.0
-    assert np.max(np.abs(prod.coeffs - expect)) < 1e-12
+    prod = f.exp(a) * f.exp(-a)
+    assert np.max(np.abs(prod.coeffs - CoeffSeries.constant(1.0, 6).coeffs)) < 1e-12
 
 
 def test_exp_overflow_guard():
-    with pytest.raises(SeriesError):
-        CrownSeries.constant(60.0, 3).exp()
+    with pytest.raises(SeriesError, match="overflow guard"):
+        CoeffSeries.constant(60.0, 3).exp()
+
+
+def unit_series(rng, D):
+    """1.3 - 0.4j plus 0.3 N(0,1)_C 2^-k above the constant, as a series in
+    z (degree D) and in xi, eta (total degree D, 2^-(m+n))."""
+    k = np.arange(D + 1)
+    c = 0.3 * (rng.standard_normal(D + 1) + 1j * rng.standard_normal(D + 1)) * 2.0**-k
+    c[0] = 1.3 - 0.4j
+    crown = random_crown(rng, D, 0.3).coeffs * 2.0 ** -np.add.outer(k, k)
+    crown[0, 0] = c[0]
+    return CoeffSeries(c), CrownSeries(crown, D)
+
+
+@pytest.mark.parametrize("D", [1, 12, 24])
+def test_square_root_squares_back_and_reciprocal_inverts(D):
+    f, F = unit_series(np.random.default_rng(D), D)
+    one, One = CoeffSeries.constant(1.0, D), CrownSeries.constant(1.0, D)
+    root, Root = f.power(0.5), F.power(0.5)
+    assert np.max(np.abs((root * root - f).coeffs)) < 1e-14
+    assert np.max(np.abs((multiply(Root, Root) - F).coeffs)) < 1e-14
+    assert np.max(np.abs((f * f.reciprocal() - one).coeffs)) < 1e-14
+    assert np.max(np.abs((multiply(F, F.power(-1)) - One).coeffs)) < 1e-14
+
+
+def test_power_and_log_guards():
+    for f in (CoeffSeries.zero(3), CrownSeries.zero(3)):
+        with pytest.raises(SeriesError, match="zero constant term"):
+            f.power(-1)
+    for f in (CoeffSeries.constant(-2.0, 3), CrownSeries.constant(-2.0, 3)):
+        with pytest.raises(SeriesError, match="branch-cut"):
+            f.power(0.25)
+        assert complex(f.power(-1).coeffs.flat[0]) == -0.5  # an integer power has no cut
+    with pytest.raises(SeriesError, match="branch-cut"):
+        CoeffSeries.constant(-2.0, 3).log()
+    with pytest.raises(SeriesError, match="zero constant term"):
+        CoeffSeries.zero(3).reciprocal()
 
 
 def test_exp_rotation_norm_bound():

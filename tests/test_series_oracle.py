@@ -1,16 +1,16 @@
 """The series kernels against a 50-digit oracle, plus ring properties.
 
 Every coefficient of ``multiply``, ``substitute``, ``substitute_pair``,
-``exp`` and ``log`` and every term of ``crown_norm`` is recomputed with
-mpmath at 50 significant digits from the same double-precision inputs, so
-the only difference left is the kernel's own rounding.  A product
-coefficient is a sum of at most (D+1)^2 complex products, which bounds its
-error by 2(D+1)^2 eps times the same coefficient of |f| * |g|.  The
-degree-by-degree composition is checked against a full-degree Horner on
-``multiply``, with and without constant terms in X and Y, and the block
-rows of the graded operator it runs on against ``multiply`` and the
-oracle.  The inverter is checked against both composition orders and
-against a fixed-point iteration.
+``exp``, ``log`` and ``power`` and every term of ``crown_norm`` is
+recomputed with mpmath at 50 significant digits from the same
+double-precision inputs, so the only difference left is the kernel's own
+rounding.  A product coefficient is a sum of at most (D+1)^2 complex
+products, which bounds its error by 2(D+1)^2 eps times the same
+coefficient of |f| * |g|.  The degree-by-degree composition is checked
+against a full-degree Horner on ``multiply``, with and without constant
+terms in X and Y, and the block rows of the graded operator it runs on
+against ``multiply`` and the oracle.  The inverter is checked against
+both composition orders and against a fixed-point iteration.
 """
 
 import mpmath
@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 import crownkam.series as series
 from crownkam.moserwebster import invert_map
 from crownkam.series import (
-    EXP_TAIL_TOL,
     CoeffSeries,
     CrownNormParams,
     CrownSeries,
@@ -415,17 +414,18 @@ def test_invert_map_general_linear_part(seed):
 
 
 # ---------------------------------------------------------------------------
-# exp and log against the oracle
+# exp, log and powers against the oracle
 #
-# exp(a f) sums the terms (a g)^k / k! of g = f - f(0) and scales by
-# e^{a f(0)}.  Term k takes k products, each within 2(D+1)^2 eps of the
-# majorant, so the sum is within (D+2) 2(D+1)^2 eps times the majorant
-# |e^{a f(0)}| exp(|a| |g|) coefficientwise; stopping once a term is below
-# EXP_TAIL_TOL leaves out at most EXP_TAIL_TOL |e^{a f(0)}| (e^{|a| ||g||_1} - 1)
-# per coefficient.  log f = log f(0) + sum_k (-1)^{k+1} u^k / k with
-# u = f / f(0) - 1 has the majorant |log f(0)| + sum_k |u|^k / k and the
-# same factor, plus EXP_TAIL_TOL sum_{i<=D} ||u||_1^i for the early stop
-# (u^i vanishes beyond i = D in the truncated ring).
+# Each is a Taylor series sum_k c_k g^k composed into a g of order >= 1:
+# exp(a f) has g = a (f - f(0)) and c_k = e^{a f(0)} / k!; log f and f^p
+# have g = u = f / f(0) - 1 and c_k = log f(0), (-1)^{k+1} / k and
+# f(0)^p C(p, k).  A CoeffSeries runs Horner on g, D products each within
+# 2(D+1)^2 eps of the majorant, so every coefficient is within
+# (D+2) 2(D+1)^2 eps times the same coefficient of sum_k |c_k| |g|^k.  A
+# CrownSeries power composes the binomial series into u with
+# ``_compose``, within ``substitution_bound``'s (2D+1) 2(D+1)^2 eps of that
+# majorant.  g^k leaves the truncated ring at k = D + 1, so the sums are
+# complete and there is no tail term.
 # ---------------------------------------------------------------------------
 
 
@@ -441,58 +441,83 @@ def mp_power_sum(g: list, weights: list, D: int) -> list:
     return acc
 
 
+def check_taylor(got, weights, g, g_abs, factor):
+    """got = sum_k weights[k] g^k within factor * eps times the majorant
+    sum_k |weights[k]| g_abs^k; g is the 50-digit series, g_abs |g|."""
+    D = g_abs.shape[0] - 1
+    ref = to_complex(mp_power_sum(g, weights, D))
+    major = to_complex(mp_power_sum(mp_series(g_abs), [abs(w) for w in weights], D)).real
+    assert np.all(np.abs(got - ref) <= factor * EPS * major)
+
+
+def unit_part(f0, rest):
+    """u = rest / f0 at 50 digits, and |u|."""
+    return [[x / mpmath.mpc(f0) for x in row] for row in mp_series(rest)], np.abs(rest) / abs(f0)
+
+
+def binomial_weights(f0, p, D):
+    """f0^p C(p, k) for k <= D at 50 digits (principal branch)."""
+    out = [mpmath.power(mpmath.mpc(f0), mpmath.mpf(p))]
+    for k in range(1, D + 1):
+        out.append(out[-1] * (mpmath.mpf(p) - k + 1) / k)
+    return out
+
+
 def check_exp_log(f0, rest, a, got_exp, got_log):
     """exp(a f) and log f of f = f0 + rest, rest(0, 0) = 0, against the oracle."""
     mpmath.mp.dps = DIGITS
     D = rest.shape[0] - 1
-    gamma = (D + 2) * 2.0 * (D + 1) ** 2 * EPS
-    scaled = lambda c, w: [[w * x for x in row] for row in c]
-
-    fact = [1 / mpmath.factorial(k) for k in range(D + 1)]
+    factor = (D + 2) * 2.0 * (D + 1) ** 2
     head = mpmath.exp(mpmath.mpc(a) * mpmath.mpc(f0))
-    ag = scaled(mp_series(rest), mpmath.mpc(a))
-    ref = to_complex(scaled(mp_power_sum(ag, fact, D), head))
-    major = abs(complex(head)) * to_complex(mp_power_sum(mp_series(abs(a) * np.abs(rest)), fact, D)).real
-    tail = EXP_TAIL_TOL * abs(complex(head)) * np.expm1(abs(a) * np.sum(np.abs(rest)))
-    assert np.all(np.abs(got_exp - ref) <= gamma * major + tail)
-
-    inv = [0] + [mpmath.mpf(-1) ** (k + 1) / k for k in range(1, D + 1)]
-    log0 = mpmath.log(mpmath.mpc(f0))
-    ref = to_complex(mp_power_sum(scaled(mp_series(rest), 1 / mpmath.mpc(f0)), inv, D))
-    ref[0, 0] = complex(log0)
-    u_abs = np.abs(rest) / abs(f0)
-    major = to_complex(mp_power_sum(mp_series(u_abs), [abs(w) for w in inv], D)).real
-    major[0, 0] = abs(complex(log0))
-    tail = EXP_TAIL_TOL * np.sum(np.sum(u_abs) ** np.arange(D + 1))
-    assert np.all(np.abs(got_log - ref) <= gamma * major + tail)
+    ag = [[mpmath.mpc(a) * x for x in row] for row in mp_series(rest)]
+    fact = [head / mpmath.factorial(k) for k in range(D + 1)]
+    check_taylor(got_exp, fact, ag, abs(a) * np.abs(rest), factor)
+    inv = [mpmath.log(mpmath.mpc(f0))] + [mpmath.mpf(-1) ** (k + 1) / k for k in range(1, D + 1)]
+    check_taylor(got_log, inv, *unit_part(f0, rest), factor)
 
 
-# a small f stops the exp sums and the crown log sum early on EXP_TAIL_TOL;
-# a large one runs them to D
 EXP_LOG_CASES = [(1.0, 0.4), (0.5j, 0.02)]
+POWERS = [-1, 0.5, 0.25]
 F0 = 1.3 - 0.4j
+
+
+def coeff_case(size):
+    """A series f in z with f(0) = F0, f - F0 as a series in xi alone, and
+    that lift from z to xi."""
+    D = 12
+    rng = np.random.default_rng(500)
+    c = (rng.standard_normal(D + 1) + 1j * rng.standard_normal(D + 1)) * size * 2.0 ** -np.arange(D + 1)
+    c[0] = F0
+    as_xi = lambda z: np.pad(z[:, None], ((0, 0), (0, D)))
+    rest = as_xi(c)
+    rest[0, 0] = 0.0
+    return CoeffSeries(c), rest, as_xi
 
 
 @pytest.mark.parametrize("a, size", EXP_LOG_CASES)
 def test_coeff_exp_log_match_oracle(a, size):
     # a series in z is checked as the same series in xi alone
-    D = 12
-    rng = np.random.default_rng(500)
-    c = (rng.standard_normal(D + 1) + 1j * rng.standard_normal(D + 1)) * size * 2.0 ** -np.arange(D + 1)
-    c[0] = F0
-    f = CoeffSeries(c)
-    as_xi = lambda z: np.pad(z[:, None], ((0, 0), (0, D)))
-    rest = as_xi(c)
-    rest[0, 0] = 0.0
+    f, rest, as_xi = coeff_case(size)
     check_exp_log(F0, rest, a, as_xi(f.exp(a).coeffs), as_xi(f.log().coeffs))
 
 
-@pytest.mark.parametrize("a, size", EXP_LOG_CASES)
-def test_crown_exp_log_match_oracle(a, size):
+@pytest.mark.parametrize("p", POWERS)
+def test_coeff_power_matches_oracle(p):
+    mpmath.mp.dps = DIGITS
+    f, rest, as_xi = coeff_case(0.4)
+    D = f.trunc_z
+    check_taylor(as_xi(f.power(p).coeffs), binomial_weights(F0, p, D), *unit_part(F0, rest),
+                 (D + 2) * 2.0 * (D + 1) ** 2)
+
+
+@pytest.mark.parametrize("p", POWERS)
+def test_crown_power_matches_oracle(p):
+    mpmath.mp.dps = DIGITS
     D = 12
-    rest = decaying(np.random.default_rng(501), D, size, 1)
+    rest = decaying(np.random.default_rng(501), D, 0.4, 1)
     f = CrownSeries(rest, D) + F0
-    check_exp_log(F0, rest, a, f.exp(a).coeffs, f.log().coeffs)
+    check_taylor(f.power(p).coeffs, binomial_weights(F0, p, D), *unit_part(F0, rest),
+                 (2 * D + 1) * 2.0 * (D + 1) ** 2)
 
 
 def test_results_are_fresh_and_read_only():
