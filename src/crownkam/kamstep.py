@@ -11,7 +11,6 @@ instance's eps, delta and K.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -23,7 +22,9 @@ from .series import (
     CrownSeries,
     MapPair,
     SeriesError,
+    _binomial_series,
     _circle,
+    _crown_index,
     invert_near_identity,
     multiply,
     principal_part,
@@ -187,6 +188,33 @@ def calibrate_delta(alpha: CoeffSeries, D: int, geom: StepGeometry, delta: float
     return min(delta, 0.9 * floor)
 
 
+def _row_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Truncated products a[e] * b[e] of stacked z-series rows of one length,
+    each with the bits of ``CoeffSeries.__mul__``: coefficient k is one BLAS
+    dot of a[e, :k+1] with b[e, k::-1], the dot np.convolve takes."""
+    n = a.shape[1]
+    b_rev = b[:, ::-1].copy()
+    out = np.empty_like(a)
+    for k in range(n):
+        out[:, k] = np.matmul(a[:, None, : k + 1], b_rev[:, n - 1 - k :, None])[:, 0, 0]
+    return out
+
+
+def _row_reciprocals(f: np.ndarray) -> np.ndarray:
+    """1/f[e] of stacked z-series rows with the bits of ``CoeffSeries.reciprocal``:
+    the binomial weights of power(-1) summed by Horner in g = (f - f(0))/f(0)."""
+    c0s = [complex(c) for c in f[:, 0]]
+    weights = np.array([_binomial_series(c0, -1, f.shape[1]) for c0 in c0s])
+    g = f * np.array([1.0 / c0 for c0 in c0s])[:, None]
+    g[:, 0] = 0.0
+    acc = np.zeros_like(f)
+    acc[:, 0] = weights[:, -1]
+    for k in range(f.shape[1] - 2, -1, -1):
+        acc = _row_products(acc, g)
+        acc[:, 0] += weights[:, k]
+    return acc
+
+
 def solve_cohomological(
     t: InvolutionPair, sigma: ReversibleMap, geom: StepGeometry
 ) -> MapPair:
@@ -203,6 +231,10 @@ def solve_cohomological(
     The divisors are guarded by |e^{i n alpha}| >= delta/2 on the sampled
     crown disks for 0 < |n| <= K+1; the result is real (self-conjugate) and
     is projected after the realness defect is checked.
+
+    Every entry is solved at once on one (entries x D//2+1) array, gathered
+    through ``_crown_index``, with the products and Taylor reciprocals of
+    the entry-by-entry formula, so each coefficient keeps its bits.
     """
     D = t.trunc_total
     K = geom.K_cut(D)
@@ -213,30 +245,31 @@ def solve_cohomological(
         )
     Dz = D // 2
     alpha = t.alpha.truncate(Dz)
-
-    @functools.cache
-    def E(n: int) -> CoeffSeries:
-        return alpha.exp(1j * n)
-
-    def entry(h: CrownSeries, l: int, j: int, a: int, b: int, c: int) -> tuple:
-        """(h_lj - E_a hbar_lj) / (2 (E_b - E_c)) as the crown entry (l, j)."""
-        h_lj = h.crown_coefficient(l, j).truncate(Dz)
-        num = h_lj - E(a) * h_lj.conj()
-        den = (E(b) - E(c)) * 2.0
-        return (l, j, (num * den.reciprocal()).truncate((D - l - j) // 2))
-
-    u_entries = [entry(sigma.f, l, 0, l + 1, l, 1) for l in range(2, K + 1)]
-    u_entries += [entry(sigma.f, 0, j, -(j - 1), -j, 1) for j in range(K + 1)]
-    v_entries = [entry(sigma.g, l, 0, l - 1, l, -1) for l in range(K + 1)]
-    v_entries += [entry(sigma.g, 0, j, -(j + 1), -j, -1) for j in range(2, K + 1)]
-    u = CrownSeries.crown_reassemble(u_entries, D)
-    v = CrownSeries.crown_reassemble(v_entries, D)
-    scale = max(1.0, u.max_abs_coeff(), v.max_abs_coeff())
-    defect = max(u.realness_defect(), v.realness_defect())
+    E = np.stack([alpha.exp(1j * n).coeffs for n in range(-K - 1, K + 2)])  # E_n at row n+K+1
+    # one row per crown entry: (0 for u from f or 1 for v from g, its row in _crown_index,
+    # where (0, 0) is row 0, (l, 0) row l and (0, j) row D + j, then a, b, c)
+    which, row, a, b, c = np.array(
+        [(0, l, l + 1, l, 1) for l in range(2, K + 1)]
+        + [(0, D + j if j else 0, 1 - j, -j, 1) for j in range(K + 1)]
+        + [(1, l, l - 1, l, -1) for l in range(K + 1)]
+        + [(1, D + j, -(j + 1), -j, -1) for j in range(2, K + 1)]
+    ).T
+    rows, cols, _ = _crown_index(D)
+    at = (which[:, None], rows[row], cols[row])
+    padded = np.zeros((2, D + 2, D + 2), dtype=np.complex128)
+    padded[:, : D + 1, : D + 1] = sigma.f.coeffs, sigma.g.coeffs
+    h = padded[at]
+    num = h - _row_products(E[a + K + 1], np.conj(h))
+    x = _row_products(num, _row_reciprocals((E[b + K + 1] - E[c + K + 1]) * 2.0))
+    # entries past their own truncation (D - l - j) // 2 land in the padding
+    padded[:] = 0.0
+    padded[at] = x + 0.0  # as when added into zeros: -0.0 becomes +0.0
+    uv = padded[:, : D + 1, : D + 1]
+    scale = max(1.0, float(np.max(np.abs(uv))))
+    defect = float(np.max(np.abs(uv.imag)))
     if defect > STEP_REALNESS_TOL * scale:
         raise SeriesError(f"cohomological solution failed realness: {defect:.3e}")
-    u = CrownSeries(u.coeffs.real, D)
-    v = CrownSeries(v.coeffs.real, D)
+    u, v = (CrownSeries(w.real, D) for w in uv)
     return (u, v)
 
 

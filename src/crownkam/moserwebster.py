@@ -228,13 +228,14 @@ def invert_map(F: MapPair) -> MapPair:
 def hyperbola_image(
     t: InvolutionPair,
     psi_chain,
-    omega: float,
+    omegas,
     R: float,
     n_pts: int,
     surface: BishopSurface | None = None,
     frame: DiagonalFrame | None = None,
 ) -> list[dict]:
-    """Sample the image of {xi eta = omega} under the chain and the embedding.
+    """Sample the images of {xi eta = omega} for each of ``omegas`` under the
+    chain and the embedding, in one pass over every curve's points.
 
     Points (xi, omega/xi) are taken on ``n_pts`` log-spaced moduli in
     (|omega|/R, R) at ``HYPERBOLA_ARGS`` arguments plus the two real-branch points
@@ -243,12 +244,16 @@ def hyperbola_image(
     (phi1, Phi) = (xi + xi o tau1, (xi o tau1) xi); when the originating
     surface and frame are supplied, the true surface coordinates
     z1 = a xi + b eta, z2 = Q_gamma + f are emitted instead (on those, z2 is
-    real along the real branches).  Real-branch points are flagged.
+    real along the real branches).  Real-branch points are flagged.  The rows
+    are those of the one-omega calls, concatenated in the order of
+    ``omegas``; an omega outside (-R^2, R^2) \\ {0}, or a nan, is rejected
+    before any point is sampled.
     """
-    if n_pts <= 0:
+    for omega in omegas:
+        if not 0.0 < abs(omega) < R * R:
+            raise SeriesError(f"omega = {omega} must lie in (-R^2, R^2) \\ {{0}}")
+    if n_pts <= 0 or len(omegas) == 0:
         return []
-    if omega == 0.0 or abs(omega) >= R * R:
-        raise SeriesError("omega must lie in (-R^2, R^2) \\ {0}")
     D = t.trunc_total
     if surface is not None and frame is not None:
         height = surface.height()
@@ -267,16 +272,22 @@ def hyperbola_image(
         def embed(x, y):
             return phi1.eval(x, y), Phi.eval(x, y)
 
-    lo, hi = abs(omega) / R, R
-    mods = np.exp(np.linspace(np.log(lo * 1.02), np.log(hi * 0.98), n_pts))
     ks = np.arange(HYPERBOLA_ARGS)
-    xi0 = (mods[:, None] * np.exp(1j * (2.0 * np.pi * ks / HYPERBOLA_ARGS))).ravel()
-    arg_index = np.tile(ks, n_pts)
-    sq = np.sqrt(abs(omega))
-    if lo < sq < hi:
-        xi0 = np.append(xi0, [sq, -sq])
-        arg_index = np.append(arg_index, [-1, -2])
-    eta0 = omega / xi0
+    xi0, eta0, arg_index, omega_of = [], [], [], []
+    for omega in omegas:
+        lo, hi = abs(omega) / R, R
+        mods = np.exp(np.linspace(np.log(lo * 1.02), np.log(hi * 0.98), n_pts))
+        xi = (mods[:, None] * np.exp(1j * (2.0 * np.pi * ks / HYPERBOLA_ARGS))).ravel()
+        args = np.tile(ks, n_pts)
+        sq = np.sqrt(abs(omega))
+        if lo < sq < hi:
+            xi = np.append(xi, [sq, -sq])
+            args = np.append(args, [-1, -2])
+        xi0.append(xi)
+        eta0.append(omega / xi)
+        arg_index.append(args)
+        omega_of += [omega] * xi.size
+    xi0, eta0, arg_index = (np.concatenate(v) for v in (xi0, eta0, arg_index))
     z1, z2 = embed(*chain_apply(psi_chain, xi0, eta0))
     is_real = (np.abs(xi0.imag) < 1e-14) & (np.abs(eta0.imag) < 1e-14)
     return [
@@ -289,8 +300,8 @@ def hyperbola_image(
             "im_z2": b.imag,
             "is_real_branch": real,
         }
-        for k, a, b, real in zip(
-            arg_index.tolist(), z1.tolist(), z2.tolist(), is_real.tolist()
+        for omega, k, a, b, real in zip(
+            omega_of, arg_index.tolist(), z1.tolist(), z2.tolist(), is_real.tolist()
         )
     ]
 

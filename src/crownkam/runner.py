@@ -14,7 +14,7 @@ CSV outputs (no clocks, no global RNG).
 from __future__ import annotations
 
 import argparse
-import csv
+import itertools
 import json
 import math
 import os
@@ -476,11 +476,26 @@ def write_json(path: str, data: dict) -> None:
 
 
 def _write_csv(path: str, header: list, rows) -> None:
-    """Floats in shortest round-trip form, so float(cell) returns the value."""
+    """Rows streamed as comma-joined cells, each followed by CRLF: ``repr`` for
+    floats (shortest round trip, so float(cell) returns the value), ``str``
+    for everything else.
+
+    These are the bytes ``csv.writer`` gives for the same cells.  A cell it
+    would quote or write otherwise (one holding a comma, a quote, CR or LF, a
+    row of one empty cell, a None) raises ValueError.
+    """
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows([repr(float(v)) if isinstance(v, float) else v for v in row] for row in rows)
+        for row in itertools.chain([header], rows):
+            try:
+                line = ",".join(row)  # every cell already text
+            except TypeError:
+                if None in row:
+                    raise ValueError(f"{path}: a None cell in {row!r}") from None
+                line = ",".join([float.__repr__(v) if isinstance(v, float) else str(v) for v in row])
+            if (line.count(",") != max(len(row) - 1, 0) or '"' in line or "\r" in line
+                    or "\n" in line or line == "" and len(row) == 1):
+                raise ValueError(f"{path}: a cell that csv would quote in {row!r}")
+            fh.write(line + "\r\n")
 
 
 def write_steps_csv(path: str, state: KamState) -> None:
@@ -743,11 +758,10 @@ def run_cli(argv=None) -> int:
             write_sieve_csv(os.path.join(config.out_dir, "sieve.csv"), state)
             hyperbolas = []
             if state.surface is not None:
-                for c in curves[:4]:
-                    hyperbolas.extend(hyperbola_image(
-                        state.pair, full_chain(state), c.omega, state.r, 5,
-                        surface=state.surface, frame=state.frame,
-                    ))
+                hyperbolas = hyperbola_image(
+                    state.pair, full_chain(state), [c.omega for c in curves[:4]], state.r, 5,
+                    surface=state.surface, frame=state.frame,
+                )
             write_curves_csv(config.out_dir, curves, hyperbolas)
             _print_summary(record)
             failed = state.status.startswith("step-failed") or state.status == "empty-parameter-set"

@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -411,6 +411,15 @@ class CrownSeries:
                     return d
         return D + 1
 
+    def degree(self) -> int:
+        """Highest total degree with a coefficient whose bits are not +0.0
+        (-1 if none).  Horner adds only +0.0 above it, which leaves every
+        value at a finite point unchanged."""
+        c = self.coeffs
+        live = (c.real != 0) | (c.imag != 0) | np.signbit(c.real) | np.signbit(c.imag)
+        m, n = np.nonzero(live & _triangle_mask(self.trunc_total + 1))
+        return int(np.max(m + n, initial=-1))
+
     def coeff_1norm(self) -> float:
         return float(np.sum(np.abs(self.coeffs)))
 
@@ -489,15 +498,6 @@ class CrownSeries:
         for j in range(1, D + 1):
             out.append((0, j, self.crown_coefficient(0, j)))
         return out
-
-    @staticmethod
-    def crown_reassemble(entries: Iterable[tuple[int, int, CoeffSeries]], D: int) -> "CrownSeries":
-        c = np.zeros((D + 1, D + 1), dtype=np.complex128)
-        for l, j, h in entries:
-            kmax = min(h.trunc_z, (D - l - j) // 2)
-            for k in range(kmax + 1):
-                c[k + l, k + j] += h.coeffs[k]
-        return CrownSeries(c, D)
 
     # -- norms -----------------------------------------------------------------
 

@@ -9,8 +9,9 @@ rho-commutation (real coefficients).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from .series import CoeffSeries, MapPair, identity_pair, scaling_pair
+from .series import CoeffSeries, CrownSeries, MapPair, identity_pair, scaling_pair
 
 
 @dataclass(frozen=True)
@@ -21,8 +22,16 @@ class PolyLink:
     inverse: MapPair
     label: str = "poly"
 
+    @cached_property
+    def _point_maps(self) -> MapPair:
+        """The forward maps cut to their own degree: above it every term is
+        +0.0, so evaluation at finite points keeps the full Horner's bits."""
+        cut = ((f, max(f.degree(), 0)) for f in self.forward)
+        return tuple(CrownSeries(f.coeffs[: d + 1, : d + 1], d) for f, d in cut)
+
     def apply_point(self, x, y):
-        return self.forward[0].eval(x, y), self.forward[1].eval(x, y)
+        f, g = self._point_maps
+        return f.eval(x, y), g.eval(x, y)
 
     def is_real(self, tol: float = 1e-9) -> bool:
         return self.forward[0].is_real(tol) and self.forward[1].is_real(tol)

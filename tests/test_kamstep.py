@@ -33,6 +33,8 @@ from crownkam.series import (
 )
 from crownkam.transforms import chain_apply
 
+from composition_helpers import cohomological_entries, crown_reassemble
+
 LAM = 2 * np.arccos(1 / (2 * 0.77))
 D = 12
 
@@ -143,7 +145,7 @@ def test_truncate_keeps_the_crown_entries_up_to_K(K):
     pK, qK, _ = truncate_K(p, q, K)
     for f, fK in ((p, pK), (q, qK)):
         kept = [(l, j, h) for l, j, h in f.crown_decompose() if max(l, j) <= np.floor(K)]
-        assert np.array_equal(fK.coeffs, CrownSeries.crown_reassemble(kept, D).coeffs)
+        assert np.array_equal(fK.coeffs, crown_reassemble(kept, D).coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +193,42 @@ def test_solver_residual_bounds_on_desk_instances():
         for key in ("cohomo1", "cohomo2", "skew_uv"):
             e = rep.entries[key]
             assert e["measured"] <= e["bound"], (seed, key, e)
+
+
+def instance_at_degree(seed, Dn, eps, scale=3e-4):
+    """A generic pair at truncation Dn with its sigma and a desk geometry at
+    eps whose delta sits at 0.9 times the divisor floor."""
+    rng = np.random.default_rng(seed)
+    m, n = np.indices((Dn + 1, Dn + 1))
+
+    def rand_u():
+        c = rng.standard_normal((Dn + 1, Dn + 1)) * scale
+        c[(m + n > Dn) | (m + n < 2)] = 0.0
+        return CrownSeries(c, Dn)
+
+    t = synthesize_pair(desk_alpha(), (rand_u(), rand_u()))
+    r, rp = 0.14, 0.105
+    omegas = tuple(np.linspace(-0.6 * rp * rp, 0.6 * rp * rp, 5))
+    g0 = StepGeometry(r, rp, r * r / 8, eps=eps, delta=1.0, omega_samples=omegas)
+    dmin = divisor_minimum(t.alpha, g0, g0.K_cut(Dn) + 1, g0.beta_tilde)
+    return t, compose_sigma(t), dataclasses.replace(g0, delta=0.9 * dmin)
+
+
+@pytest.mark.parametrize("Dn", [12, 24])
+@pytest.mark.parametrize("seed, eps, K", [(80, 1e-3, None), (81, 1e-3, None), (82, 0.9, 3)])
+def test_stacked_solver_matches_the_entry_by_entry_formula(Dn, seed, eps, K):
+    # the stacked solve takes the same products and Taylor reciprocals as the
+    # per-entry CoeffSeries formula; allow rounding of 2^-44 (about 6e-14)
+    # relative to each component's largest coefficient.  K = D unless given.
+    t, sigma, geom = instance_at_degree(seed, Dn, eps)
+    assert geom.K_cut(Dn) == (Dn if K is None else K)
+    got = solve_cohomological(t, sigma, geom)
+    want = cohomological_entries(t, sigma, geom.K_cut(Dn))
+    for g, w in zip(got, want):
+        scale = np.max(np.abs(w.coeffs))
+        assert scale > 0
+        assert np.max(np.abs(g.coeffs - w.coeffs)) <= 2.0**-44 * scale
+    assert got[0].coeffs[1, 0] == 0 and got[1].coeffs[0, 1] == 0
 
 
 # ---------------------------------------------------------------------------

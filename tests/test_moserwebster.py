@@ -195,7 +195,7 @@ def test_invert_map_roundtrip():
 def test_hyperbola_linear_pair_constant_z2():
     frame, pair = diagonalize(quadric_surface(1.0))
     omega = 0.004
-    rows = hyperbola_image(pair, [], omega, R=0.1, n_pts=7)
+    rows = hyperbola_image(pair, [], [omega], R=0.1, n_pts=7)
     want = np.exp(0.5j * frame.lam) * omega
     for row in rows:
         z2 = complex(row["re_z2"], row["im_z2"])
@@ -208,18 +208,43 @@ def test_hyperbola_real_branch_flags():
     M = cubic_surface(1.0, c=0.02)
     frame, pair = diagonalize(M)
     for omega in (0.003, -0.002):
-        rows = hyperbola_image(pair, [], omega, R=0.1, n_pts=5, surface=M, frame=frame)
+        rows = hyperbola_image(pair, [], [omega], R=0.1, n_pts=5, surface=M, frame=frame)
         real_rows = [r for r in rows if r["is_real_branch"]]
         assert len(real_rows) >= 2
         for r in real_rows:
             assert abs(r["im_z2"]) < 1e-10
 
 
+@pytest.mark.parametrize("embedded", [False, True])
+def test_hyperbola_list_is_the_one_omega_calls_concatenated(embedded):
+    # one chain pass over every curve gives the rows of the one-omega calls, bit for bit
+    M = cubic_surface(1.0, c=0.02)
+    frame, pair = diagonalize(M)
+    kw = {"surface": M, "frame": frame} if embedded else {}
+    omegas = [0.003, -0.002, 0.0004, -0.0081]
+    rows = hyperbola_image(pair, [], omegas, R=0.1, n_pts=5, **kw)
+    singles = [r for w in omegas for r in hyperbola_image(pair, [], [w], R=0.1, n_pts=5, **kw)]
+    assert repr(rows) == repr(singles)
+    assert [r["omega"] for r in rows[::22]] == omegas
+    assert hyperbola_image(pair, [], [], R=0.1, n_pts=5, **kw) == []
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.0, 0.0101, -0.0101, 0.5, float("nan")])
+@pytest.mark.parametrize("where", [0, 1, 2])
+def test_hyperbola_list_rejects_every_bad_omega(bad, where):
+    _, pair = diagonalize(quadric_surface(1.0))
+    omegas = [0.003, -0.002]
+    omegas.insert(where, bad)
+    for n_pts in (3, 0):
+        with pytest.raises(SeriesError):
+            hyperbola_image(pair, [], omegas, R=0.1, n_pts=n_pts)
+
+
 def test_hyperbola_empty_and_range_checks():
     _, pair = diagonalize(quadric_surface(1.0))
-    assert hyperbola_image(pair, [], 0.004, R=0.1, n_pts=0) == []
+    assert hyperbola_image(pair, [], [0.004], R=0.1, n_pts=0) == []
     with pytest.raises(SeriesError):
-        hyperbola_image(pair, [], 0.02, R=0.1, n_pts=3)
+        hyperbola_image(pair, [], [0.02], R=0.1, n_pts=3)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 from crownkam.runner import (
     FIXTURES,
     ConfigError,
+    _write_csv,
     CurveResult,
     RunConfig,
     extract_curve,
@@ -433,6 +434,50 @@ def test_cli_iterate_outputs(tmp_path):
 def _csv_rows(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def csv_module_bytes(path, header, rows):
+    """The bytes the csv module writes for the same cells: floats as repr,
+    everything else as the module's own rule."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows([repr(float(v)) if isinstance(v, float) else v for v in row] for row in rows)
+    return path.read_bytes()
+
+
+FLOAT_CELLS = [-0.0, 0.0, float("nan"), float("inf"), float("-inf"), 5e-324, 1e300, -1e-300,
+               0.1, 1e16, 1e-5, 123456.789, np.float64(-0.0), np.float64(5e-324), np.float64(1e300),
+               np.float64(0.1), np.float64("nan")]
+
+
+def test_csv_writer_bytes_match_the_csv_module(tmp_path):
+    header = ["nu", "value", "flag", "note", "empty"]
+    rows = [[i, v, i % 2 == 0, "text", ""] for i, v in enumerate(FLOAT_CELLS)]
+    rows += [[3, 7, True, False, ""], [np.int64(4), np.bool_(True), np.float64(2.5), "", "x"],
+             ["", "", "", "", ""], [1.5], [], ["a", ""], [0, -1, 2**70, "None", "n a n"]]
+    _write_csv(str(tmp_path / "ours.csv"), header, rows)
+    want = csv_module_bytes(tmp_path / "csv.csv", header, rows)
+    assert (tmp_path / "ours.csv").read_bytes() == want
+
+
+def test_csv_writer_streams_rows_from_a_generator(tmp_path):
+    rows = ([i, float(i) / 3] for i in range(5))
+    _write_csv(str(tmp_path / "ours.csv"), ["i", "x"], rows)
+    want = csv_module_bytes(tmp_path / "csv.csv", ["i", "x"], [[i, float(i) / 3] for i in range(5)])
+    assert (tmp_path / "ours.csv").read_bytes() == want
+
+
+@pytest.mark.parametrize("cells", [
+    ["a,b", 1.0], ['say "hi"', 1], ["two\nlines"], ["cr\r"], [1.0, None], [None], [""],
+])
+def test_csv_writer_refuses_what_csv_would_quote_and_none(tmp_path, cells):
+    # csv would quote these cells (or write None as an empty cell, a lone
+    # empty cell as ""), so the writer refuses them rather than write other bytes
+    with pytest.raises(ValueError):
+        _write_csv(str(tmp_path / "ours.csv"), ["a", "b"], [[1, 2.0], cells])
+    with pytest.raises(ValueError):
+        _write_csv(str(tmp_path / "ours.csv"), cells, [])
 
 
 @pytest.mark.parametrize(
