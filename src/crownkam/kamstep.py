@@ -11,7 +11,8 @@ instance's eps, delta and K.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -141,7 +142,8 @@ class StepReport:
         )
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The fields by name; the entry dicts are shared, not copied."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def truncate_K(
@@ -215,10 +217,8 @@ def _row_reciprocals(f: np.ndarray) -> np.ndarray:
     return acc
 
 
-def solve_cohomological(
-    t: InvolutionPair, sigma: ReversibleMap, geom: StepGeometry
-) -> MapPair:
-    """The approximate cohomological solution (u-hat, v-hat).
+def solve_cohomological(t: InvolutionPair, sigma: ReversibleMap, K: int) -> MapPair:
+    """The approximate cohomological solution (u-hat, v-hat) at the cut K.
 
     Crown coefficients, with E_n = e^{i n alpha(z)} as truncated z-series:
 
@@ -228,21 +228,16 @@ def solve_cohomological(
         v_0j = (g_0j - E_{-(j+1)} gbar_0j) / (2 (E_{-j} - E_{-1})), 2 <= j <= K
         u_10 = v_01 = 0.
 
-    The divisors are guarded by |e^{i n alpha}| >= delta/2 on the sampled
-    crown disks for 0 < |n| <= K+1; the result is real (self-conjugate) and
-    is projected after the realness defect is checked.
+    The divisors need |e^{i n alpha} - 1| >= delta/2 on the sampled crown
+    disks for 0 < |n| <= K+1, which ``run_step`` checks before it solves;
+    the result is real (self-conjugate) and is projected after the realness
+    defect is checked.
 
     Every entry is solved at once on one (entries x D//2+1) array, gathered
     through ``_crown_index``, with the products and Taylor reciprocals of
     the entry-by-entry formula, so each coefficient keeps its bits.
     """
     D = t.trunc_total
-    K = geom.K_cut(D)
-    dmin = divisor_minimum(t.alpha, geom, K + 1, geom.beta_tilde)
-    if dmin < geom.delta / 2.0:
-        raise SeriesError(
-            f"small divisor {dmin:.3e} below delta/2 = {geom.delta / 2:.3e} on the disk"
-        )
     Dz = D // 2
     alpha = t.alpha.truncate(Dz)
     E = np.stack([alpha.exp(1j * n).coeffs for n in range(-K - 1, K + 2)])  # E_n at row n+K+1
@@ -323,20 +318,15 @@ class IntermediatePair:
     phi: PolyLink
 
 
-def conjugate_step(
-    t: InvolutionPair, uv: MapPair, geom: StepGeometry
-) -> IntermediatePair:
+def conjugate_step(t: InvolutionPair, uv: MapPair) -> IntermediatePair:
     """tau~ = phi^-1 o tau o phi with phi = Id + U-hat.
 
     The new principal part is (e^{i alpha/2} + p_01) eta and its reciprocal
     partner; A = p_01 is returned with the conjugated map and the transform.
+    ``run_step`` checks that ||U|| leaves room to invert phi before it
+    conjugates, and checks the crown containment after.
     """
     D = t.trunc_total
-    # invertibility needs room relative to the radii; the crown containment
-    # itself is checked a posteriori (crown_escape_margin)
-    u_size = sum(geom.sup_norm(u, geom.beta_tilde, geom.r7) for u in uv)
-    if u_size >= (geom.r7 - geom.r_plus) / 8.0:
-        raise SeriesError(f"conjugating map too large to invert: ||U|| = {u_size:.3g}")
     phi_inv_tail = invert_near_identity(uv)
     phi = poly_link_from_U(uv, phi_inv_tail, label="cohomological")
     T = substitute_pair(phi.inverse, substitute_pair(t.components(), phi.forward))
@@ -373,23 +363,20 @@ def crown_escape_margin(
     ))
 
 
-def theta_scaling(
-    inter: IntermediatePair, geom: StepGeometry
-) -> tuple[InvolutionPair, ScalingLink]:
+def theta_scaling(inter: IntermediatePair, s: int) -> tuple[InvolutionPair, ScalingLink]:
     """Product-preserving rescale restoring a unit-modulus principal part.
 
     Theta = ((e^{i a/2} + A)(e^{-i a/2} + Abar))^{1/4} by the binomial
     series in the truncated z-ring; the new exponent is
     alpha_+ = alpha - i (e^{-i a/2} A - e^{i a/2} Abar).  T is conjugated to
     Theta^-1 o T o Theta as ``prenormal.realform_scaling`` conjugates by mu.
+    The binomial series needs ||A|| < 1/16, which ``run_step`` checks first;
+    s is the twist order of the returned pair.
     """
     D = inter.T[0].trunc_total
     Dz = D // 2
     alpha = inter.alpha.truncate(Dz)
     A = inter.A.truncate(Dz)
-    norm_A = geom.sup_coeff(A, geom.beta, geom.r)
-    if norm_A >= 1.0 / 16.0:
-        raise SeriesError(f"scaling precondition ||A|| = {norm_A:.3g} >= 1/16")
     Ep = alpha.exp(0.5j)
     Em = alpha.exp(-0.5j)
     w = Em * A + Ep * A.conj() + A * A.conj()
@@ -400,27 +387,103 @@ def theta_scaling(
     alpha_plus = alpha_plus.project_real(STEP_REALNESS_TOL)
 
     T_out = substitute_pair(link.inverse_pair(D), substitute_pair(inter.T, link.forward_pair(D)))
-    out = split_pair(T_out, alpha_plus, s_order=geom.s)
+    out = split_pair(T_out, alpha_plus, s_order=s)
     return out, link
 
 
-def main_step(
-    t: InvolutionPair, geom: StepGeometry
-) -> tuple[InvolutionPair, list, StepReport]:
-    """truncate -> sigma -> cohomological solve -> conjugate -> rescale.
+@dataclass(frozen=True, eq=False)
+class StepAlgebra:
+    """What one step computes from its pair at the cut K and twist order s.
 
-    Returns the new pair, the transform chain [phi, theta-scaling] (in
-    composition order) and the full measured-versus-bound report.
+    sigma, the cohomological solution (u-hat, v-hat), the conjugation by
+    phi = Id + U-hat (with T and A) and the rescale by Theta, giving t_plus.
+    None of it reads the radii, the crown widths, the omega samples or
+    delta, so a later step on the same pair object at the same K and s can
+    take it from here instead of computing it again.
+    """
+
+    pair: InvolutionPair
+    K: int
+    s: int
+    sigma: ReversibleMap
+    uv: MapPair
+    inter: IntermediatePair
+    theta: ScalingLink
+    t_plus: InvolutionPair
+
+
+@contextmanager
+def _stage(name: str):
+    """Prefix a refusal inside the block with the stage's name."""
+    try:
+        yield
+    except SeriesError as e:
+        raise SeriesError(f"[{name}] {e}") from e
+
+
+def run_step(
+    t: InvolutionPair, geom: StepGeometry, prior: StepAlgebra | None = None
+) -> tuple[StepAlgebra, dict]:
+    """truncate -> sigma -> cohomological solve -> conjugate -> rescale, each
+    stage behind its guards on geom.
+
+    The guards are the omega windows, K >= 1, the small-divisor floor
+    delta/2, room to invert phi, phi's crown containment and ||A|| < 1/16.
+    They always run against geom, in stage order.  The algebra comes from
+    ``prior`` when it was built from this pair object at this K and s, and
+    is computed afresh otherwise.  Returns the algebra and the sups the
+    guards measured: u_norm, v_norm, crown_escape_margin and norm_A.
     """
     D = t.trunc_total
-    report = StepReport(geom.eps, geom.delta, geom.K_formula, geom.K_cut(D))
-    eps, delta, K = geom.eps, geom.delta, geom.K_cut(D)
+    K = geom.K_cut(D)
+    if prior is not None and not (prior.pair is t and prior.K == K and prior.s == geom.s):
+        prior = None
+    bt, r7 = geom.beta_tilde, geom.r7
+    geom.window(geom.beta, geom.r)
+    with _stage("truncate"):
+        if K < 1:
+            raise SeriesError("K must be >= 1")
+        geom.window(bt, r7)
+    with _stage("sigma"):
+        sigma = prior.sigma if prior else compose_sigma(t)
+    with _stage("cohomological"):
+        dmin = divisor_minimum(t.alpha, geom, K + 1, bt)
+        if dmin < geom.delta / 2.0:
+            raise SeriesError(
+                f"small divisor {dmin:.3e} below delta/2 = {geom.delta / 2:.3e} on the disk"
+            )
+        uv = prior.uv if prior else solve_cohomological(t, sigma, K)
+    sups = {"u_norm": geom.sup_norm(uv[0], bt, r7), "v_norm": geom.sup_norm(uv[1], bt, r7)}
+    with _stage("conjugate"):
+        # invertibility needs room relative to the radii; the crown
+        # containment itself is checked a posteriori
+        u_size = sups["u_norm"] + sups["v_norm"]
+        if u_size >= (r7 - geom.r_plus) / 8.0:
+            raise SeriesError(f"conjugating map too large to invert: ||U|| = {u_size:.3g}")
+        inter = prior.inter if prior else conjugate_step(t, uv)
+    margin = sups["crown_escape_margin"] = crown_escape_margin(inter.phi, geom)
+    if margin < 0:
+        raise SeriesError(f"[conjugate] crown escape: margin {margin:.3e} < 0")
+    with _stage("theta-scaling"):
+        norm_A = sups["norm_A"] = geom.sup_coeff(inter.A, geom.beta, geom.r)
+        if norm_A >= 1.0 / 16.0:
+            raise SeriesError(f"scaling precondition ||A|| = {norm_A:.3g} >= 1/16")
+        t_plus, theta = (prior.t_plus, prior.theta) if prior else theta_scaling(inter, geom.s)
+    return prior or StepAlgebra(t, K, geom.s, sigma, uv, inter, theta, t_plus), sups
 
-    def stage(name, fn):
-        try:
-            return fn()
-        except SeriesError as e:
-            raise SeriesError(f"[{name}] {e}") from e
+
+def main_step(
+    t: InvolutionPair, geom: StepGeometry, prior: StepAlgebra | None = None
+) -> tuple[InvolutionPair, list, StepReport]:
+    """``run_step``, then every estimate of the step against its bound.
+
+    Returns the new pair, the transform chain [phi, theta-scaling] (in
+    composition order) and the full measured-versus-bound report.  ``prior``
+    is used as ``run_step`` uses it.
+    """
+    a, sups = run_step(t, geom, prior)
+    eps, delta, K = geom.eps, geom.delta, a.K
+    report = StepReport(eps, delta, geom.K_formula, K)
 
     p_norm = geom.sup_norm(t.p, geom.beta, geom.r)
     q_norm = geom.sup_norm(t.q, geom.beta, geom.r)
@@ -431,46 +494,24 @@ def main_step(
     )
     report.add("involution_residual_in", t.involution_residual(np_check), 1e-9)
 
-    pK, qK, tail = stage(
-        "truncate", lambda: truncate_K(t.p, t.q, geom.K_cut(D), geom)
-    )
+    pK, qK, tail = truncate_K(t.p, t.q, K, geom)
     report.add("truncation_tail", tail, eps**2 / 10.0)
-    report.add(
-        "truncation_tail_geometric",
-        tail,
-        max(p_norm, q_norm) * (geom.r7 / geom.r) ** geom.K_cut(D),
-    )
+    report.add("truncation_tail_geometric", tail, max(p_norm, q_norm) * (geom.r7 / geom.r) ** K)
 
-    sigma = stage("sigma", lambda: compose_sigma(t))
-    report.add(
-        "sigma_f_norm", geom.sup_norm(sigma.f, geom.beta_tilde, geom.r7), eps / 4.0
-    )
-    report.add(
-        "sigma_g_norm", geom.sup_norm(sigma.g, geom.beta_tilde, geom.r7), eps / 4.0
-    )
+    report.add("sigma_f_norm", geom.sup_norm(a.sigma.f, geom.beta_tilde, geom.r7), eps / 4.0)
+    report.add("sigma_g_norm", geom.sup_norm(a.sigma.g, geom.beta_tilde, geom.r7), eps / 4.0)
 
-    uv = stage("cohomological", lambda: solve_cohomological(t, sigma, geom))
-    report.add(
-        "u_norm", geom.sup_norm(uv[0], geom.beta_tilde, geom.r7), eps ** (49 / 50) / 20.0
-    )
-    report.add(
-        "v_norm", geom.sup_norm(uv[1], geom.beta_tilde, geom.r7), eps ** (49 / 50) / 20.0
-    )
-    coh = cohomological_residuals(t, uv, pK, qK, geom)
+    report.add("u_norm", sups["u_norm"], eps ** (49 / 50) / 20.0)
+    report.add("v_norm", sups["v_norm"], eps ** (49 / 50) / 20.0)
+    coh = cohomological_residuals(t, a.uv, pK, qK, geom)
     skew_in = coh.pop("skew_in")
     report.add("skew_in", skew_in, eps**1.5 / 3.0)
     for name, (measured, bound) in coh.items():
         report.add(name, measured, bound)
 
-    inter = stage("conjugate", lambda: conjugate_step(t, uv, geom))
-    margin = crown_escape_margin(inter.phi, geom)
-    report.add("crown_escape_margin", margin)
-    if margin < 0:
-        raise SeriesError(f"[conjugate] crown escape: margin {margin:.3e} < 0")
+    report.add("crown_escape_margin", sups["crown_escape_margin"])
 
-    t_plus, theta_link = stage("theta-scaling", lambda: theta_scaling(inter, geom))
-    chain = [inter.phi, theta_link]
-
+    t_plus, theta_link = a.t_plus, a.theta
     p_plus = geom.sup_norm(t_plus.p, geom.beta_plus, geom.r_plus)
     q_plus = geom.sup_norm(t_plus.q, geom.beta_plus, geom.r_plus)
     bound_pq = eps ** (61 / 32) / 2.0 + 24.0 * (K + 1) / delta * skew_in
@@ -497,7 +538,7 @@ def main_step(
             eps ** (1 / 3) / 10.0,
         )
 
-    norm_A = max(geom.sup_coeff(inter.A, geom.beta, geom.r), 1e-300)
+    norm_A = max(sups["norm_A"], 1e-300)
     for kpow in (1, -1, 2, -2):
         th = theta_link.theta if kpow > 0 else theta_link.theta_inv()
         base = th if abs(kpow) == 1 else th * th
@@ -519,4 +560,4 @@ def main_step(
         "pass": bool(skew_plus <= eps**1.4),
     }
     report.practical["eps_out"] = 10.0 * max(p_plus, q_plus)
-    return t_plus, chain, report
+    return t_plus, [a.inter.phi, theta_link], report

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .involution import InvolutionPair, skew_term, split_pair
-from .kamstep import StepGeometry, calibrate_delta, main_step, window_samples
+from .kamstep import StepAlgebra, StepGeometry, calibrate_delta, run_step, window_samples
 from .series import (
     CoeffSeries,
     CrownSeries,
@@ -230,13 +230,15 @@ def practical_beta(eps: float, s: int, r: float) -> float:
     return min(eps ** (1.0 / (40.0 * s)), r * r / 8.0)
 
 
-def radius_search(prepared: InvolutionPair) -> RadiusResult:
+def radius_search(prepared: InvolutionPair) -> tuple[RadiusResult, StepAlgebra | None]:
     """Shrink r_* until the iteration entry predicate holds, then branch.
 
     r_* is accepted once one trial step contracts the measured perturbation
     to eps^{1.15}; the verbatim smallness inequality is evaluated and
     reported but never met at double precision.  The branch test compares
-    the skew term against A^{3/2}/3.
+    the skew term against A^{3/2}/3.  The accepted trial's algebra is
+    returned beside the result (None when no trial ran), for the step that
+    starts from the same pair at the same K.
     """
     s = prepared.s_order
     lam = float(prepared.alpha.coeffs[0].real)
@@ -251,11 +253,14 @@ def radius_search(prepared: InvolutionPair) -> RadiusResult:
         if A <= 1e-13:  # perturbation at truncation-noise level: trivially in
             return RadiusResult(
                 r, A, "case1", A, 0.0, 0.0, rigorous_ok, lhs, alpha_conditions
-            )
+            ), None
         beta = practical_beta(A, s, r)
         omegas = window_samples(IntervalSet.interval(-r * r, r * r), r * r - beta)
         geom = StepGeometry(r, 0.75 * r, beta, eps=A, delta=1.0, s=s, omega_samples=omegas)
-        trial, last_error = _trial_step(prepared, geom)
+        try:
+            trial, algebra = _trial_step(prepared, geom)
+        except SeriesError as e:
+            trial, last_error = None, str(e)
         if trial is not None and trial["p_plus"] <= trial["target"]:
             skew = geom.sup_norm(skew_term(prepared), beta, r)
             threshold = A**1.5 / 3.0
@@ -264,7 +269,7 @@ def radius_search(prepared: InvolutionPair) -> RadiusResult:
             return RadiusResult(
                 r, eps0, branch, A, skew, threshold, rigorous_ok, lhs,
                 alpha_conditions, trial,
-            )
+            ), algebra
         r *= 0.5
         if r < 1e-7:
             break
@@ -301,19 +306,17 @@ def _alpha_conditions(alpha: CoeffSeries, lam: float, s: int, r: float) -> dict:
     }
 
 
-def _trial_step(prepared: InvolutionPair, geom: StepGeometry) -> tuple:
-    """One main step at geom with delta calibrated on its samples; returns
-    (trial record, None) or (None, the reason it could not run)."""
+def _trial_step(prepared: InvolutionPair, geom: StepGeometry) -> tuple[dict, StepAlgebra]:
+    """One step at geom with delta calibrated on its samples, measuring only
+    p_+; returns the trial record and the step's algebra, and raises
+    SeriesError when the step refuses."""
     A, D = geom.eps, prepared.trunc_total
     delta = calibrate_delta(prepared.alpha, D, geom, 100.0 * A ** (1.0 / (60.0 * geom.s)))
     if delta <= 0:
-        return None, "vanishing divisor"
-    try:
-        _, _, rep = main_step(prepared, replace(geom, delta=delta))
-    except SeriesError as e:
-        return None, str(e)
-    p_plus = rep.entries["p_plus_norm"]["measured"]
-    return {"p_plus": p_plus, "target": A**CONTRACTION_EXPONENT, "delta": delta}, None
+        raise SeriesError("vanishing divisor")
+    algebra, _ = run_step(prepared, replace(geom, delta=delta))
+    p_plus = geom.sup_norm(algebra.t_plus.p, geom.beta_plus, geom.r_plus)
+    return {"p_plus": p_plus, "target": A**CONTRACTION_EXPONENT, "delta": delta}, algebra
 
 
 def prenormalize(t: InvolutionPair, N: int) -> tuple[InvolutionPair, list, dict]:

@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .involution import InvolutionPair, compose_sigma, skew_term
-from .kamstep import StepGeometry, calibrate_delta, main_step, window_samples
+from .kamstep import StepAlgebra, StepGeometry, calibrate_delta, main_step, window_samples
 from .moserwebster import (
     BishopSurface,
     DiagonalFrame,
@@ -32,7 +32,13 @@ from .moserwebster import (
     hyperbola_image,
     surface_from_config,
 )
-from .prenormal import alpha_window_sups, practical_beta, prenormalize, radius_search
+from .prenormal import (
+    alpha_window_sups,
+    detect_nondegeneracy,
+    practical_beta,
+    prenormalize,
+    radius_search,
+)
 from .series import CoeffSeries, CrownNormParams, CrownSeries, SeriesError
 from .sieve import (
     IntervalSet,
@@ -184,6 +190,8 @@ class KamState:
     frame: DiagonalFrame | None = None
     branch: str = "case1"
     lam0: float = 0.0
+    # the radius search's trial algebra, for the first step of iterate only
+    first_step_algebra: StepAlgebra | None = None
 
 
 def prepare(config: RunConfig) -> tuple[KamState, dict]:
@@ -205,22 +213,24 @@ def prepare(config: RunConfig) -> tuple[KamState, dict]:
     alpha_tail = float(np.max(np.abs(pair.alpha.coeffs[1:]))) if pair.alpha.trunc_z else 0.0
     if config.direct is not None and alpha_tail > 1e-14:
         # a direct pair with a non-constant exponent is already in prepared
-        # form: skip the normalization stage
-        prep, chain_pre = pair, []
-        record["prenormalization"] = {"skipped": "direct input in prepared form"}
+        # form: skip the normalization stage, keeping the twist order of its
+        # exponent
+        det = detect_nondegeneracy(pair.alpha)  # reads z^1 on: alpha(0) plays no part
+        degenerate = det == "degenerate"
+        prep = pair if degenerate else InvolutionPair(pair.alpha, pair.p, pair.q, det[0])
+        chain_pre = []
+        record["prenormalization"] = {"skipped": "direct input in prepared form",
+                                      "s": det if degenerate else det[0]}
     else:
         prep, chain_pre, pre_report = prenormalize(pair, config.N)
         record["prenormalization"] = pre_report
-        if pre_report.get("nondegeneracy") == "degenerate":
-            # a vanishing twist only blocks the sieve when there is something
-            # to sieve; the unperturbed pair runs through trivially
-            pert = max(prep.p.max_abs_coeff(), prep.q.max_abs_coeff())
-            if pert > 1e-13:
-                raise SeriesError(
-                    "prepared exponent is degenerate: no z^s coefficient found"
-                )
+        degenerate = pre_report.get("nondegeneracy") == "degenerate"
+    # a vanishing twist only blocks the sieve when there is something to
+    # sieve; the unperturbed pair runs through trivially
+    if degenerate and max(prep.p.max_abs_coeff(), prep.q.max_abs_coeff()) > 1e-13:
+        raise SeriesError("prepared exponent is degenerate: no z^s coefficient found")
     s = prep.s_order
-    rs = radius_search(prep)
+    rs, trial_algebra = radius_search(prep)
     record["radius_search"] = asdict(rs)
 
     lam_prep = float(prep.alpha.coeffs[0].real)
@@ -239,7 +249,8 @@ def prepare(config: RunConfig) -> tuple[KamState, dict]:
         O_delta = excise_resonances(O_full, prep.alpha, g0.K_cut(D), delta)
         g1 = replace(g0, omega_samples=window_samples(O_delta, r_star * r_star))
         geom = replace(g1, delta=calibrate_delta(prep.alpha, D, g1, delta))
-        pair0, links, rep = main_step(prep, geom)
+        pair0, links, rep = main_step(prep, geom, trial_algebra)
+        trial_algebra = None  # used up: iterate starts from pair0
         record["preliminary_step"] = rep.to_dict()
         prelim_links = list(links)
         r0 = 0.75 * r_star
@@ -259,7 +270,7 @@ def prepare(config: RunConfig) -> tuple[KamState, dict]:
         prelim_chain=list(chain_pre) + prelim_links,
         eps_measured=[eps_m], skew_measured=[skew_m],
         sigma_o=sigma_o.components(), surface=surface, frame=frame,
-        branch=rs.branch, lam0=lam_prep,
+        branch=rs.branch, lam0=lam_prep, first_step_algebra=trial_algebra,
     )
     zs = np.array(omegas)
     record["alpha0_minus_lambda_sup"] = float(
@@ -309,6 +320,7 @@ def iterate(state: KamState, config: RunConfig) -> KamState:
     D = state.pair.trunc_total
     s = state.pair.s_order
     sch = state.eps_schedule
+    prior, state.first_step_algebra = state.first_step_algebra, None
     for nu in range(config.max_nu):
         r_nu = sch.r[nu]
         r_next = sch.r[nu + 1]
@@ -351,11 +363,12 @@ def iterate(state: KamState, config: RunConfig) -> KamState:
             # the step's working grid must see the same divisor floor
             g1 = replace(g0, omega_samples=window_samples(O_next, r_next**2 - beta_nu))
             delta = calibrate_delta(state.pair.alpha, D, g1, delta)
-            pair_next, links, rep = main_step(state.pair, replace(g1, delta=delta))
+            pair_next, links, rep = main_step(state.pair, replace(g1, delta=delta), prior)
         except SeriesError as e:
             state.status = f"step-failed: {e}"
             break
 
+        prior = None
         state.pair = pair_next
         state.O = O_next
         state.r = r_next

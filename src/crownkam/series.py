@@ -329,6 +329,23 @@ def _crown_index(D: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rows, cols, degree
 
 
+@lru_cache(maxsize=None)
+def _crown_rows_by_degree(D: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (rows, cols) gather indices of ``_crown_index`` in degree order
+    (0, 0), (1, 0), (0, 1), (2, 0), (0, 2), ..., so longest rows first, and
+    the permutation back to crown order.  A row of degree d has length
+    (D - d)//2 + 1, so the 1 + 2(D - 2k) rows of degree <= D - 2k are the
+    ones longer than k."""
+    rows, cols, _ = _crown_index(D)
+    order = np.concatenate(([0], np.arange(1, 2 * D + 1).reshape(2, D).T.ravel()))
+    back = np.empty_like(order)
+    back[order] = np.arange(order.size)
+    out = (rows[order], cols[order], back)
+    for arr in out:
+        arr.setflags(write=False)
+    return out
+
+
 class CrownSeries:
     """Dense triangular bivariate series sum a[m,n] xi^m eta^n, m+n <= D."""
 
@@ -509,23 +526,31 @@ class CrownSeries:
     def crown_norms(self, omegas, beta: float, radius: float, boundary_samples: int = 64):
         """``crown_norm`` at each of ``omegas``, checked as CrownNormParams does.
 
-        One Horner runs over every crown coefficient f_lj and every circle
-        point at once; the zero padding above a row's own degree leaves its
-        values unchanged.  Each norm sums sup * r^(l+j) over the rows in
+        One Horner runs in place over every crown coefficient f_lj and every
+        circle point at once, longest rows first: a row joins at its own top
+        power with its top coefficient, the value 0 * z + c_top of a Horner
+        started above it.  Each norm sums sup * r^(l+j) over the rows in
         crown order, so it has the bits of a lone omega's norm.
         """
         for w in omegas:
             CrownNormParams(w, beta, radius, boundary_samples)
         D = self.trunc_total
-        rows, cols, degree = _crown_index(D)
+        degree = _crown_index(D)[2]
+        rows, cols, back = _crown_rows_by_degree(D)
         padded = np.zeros((D + 2, D + 2), dtype=np.complex128)
         padded[: D + 1, : D + 1] = self.coeffs
         crown = padded[rows, cols]
         zs = _circle(omegas, beta, boundary_samples)
-        vals = np.repeat(crown[:, -1:], zs.size, axis=1)
-        for k in range(crown.shape[1] - 2, -1, -1):
-            vals = vals * zs.ravel() + crown[:, k : k + 1]
-        sups = np.max(np.abs(vals).reshape(-1, *zs.shape), axis=2)
+        z = zs.ravel()
+        vals = np.empty((crown.shape[0], z.size), dtype=np.complex128)
+        n = 0
+        for k in range(D // 2, -1, -1):
+            m = 1 + 2 * (D - 2 * k)  # the rows longer than k
+            vals[:n] *= z
+            vals[:n] += crown[:n, k, None]
+            vals[n:m] = crown[n:m, k, None]
+            n = m
+        sups = np.max(np.abs(vals).reshape(-1, *zs.shape), axis=2)[back]
         return np.cumsum(sups * (radius ** np.arange(D + 1))[degree, None], axis=0)[-1]
 
     def full_norm(self, r: float) -> float:

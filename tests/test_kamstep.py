@@ -1,6 +1,7 @@
 """Tests for the main iteration step and its measured-versus-bound report."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -18,11 +19,13 @@ from crownkam.kamstep import (
     crown_escape_margin,
     divisor_minimum,
     main_step,
+    run_step,
     solve_cohomological,
     theta_scaling,
     truncate_K,
     IntermediatePair,
 )
+from crownkam.prenormal import _trial_step
 from crownkam.series import (
     CoeffSeries,
     CrownNormParams,
@@ -157,7 +160,7 @@ def test_solver_zero_input():
     t = InvolutionPair(desk_alpha(), CrownSeries.zero(D), CrownSeries.zero(D))
     geom = desk_geometry(eps=1e-4, t=t)
     sigma = compose_sigma(t)
-    u, v = solve_cohomological(t, sigma, geom)
+    u, v = solve_cohomological(t, sigma, geom.K_cut(D))
     assert u.coeff_1norm() < 1e-14
     assert v.coeff_1norm() < 1e-14
 
@@ -165,16 +168,15 @@ def test_solver_zero_input():
 def test_solver_divisor_guard():
     t = generic_instance(63, 3e-4)
     geom = desk_geometry(eps=measured_eps(t, 0.14), delta=10.0, t=t)
-    sigma = compose_sigma(t)
-    with pytest.raises(SeriesError):
-        solve_cohomological(t, sigma, geom)
+    with pytest.raises(SeriesError, match=r"^\[cohomological\] small divisor"):
+        run_step(t, geom)
 
 
 def test_solver_output_is_real():
     t = generic_instance(65, 3e-4)
     geom = desk_geometry(eps=measured_eps(t, 0.14), t=t)
     sigma = compose_sigma(t)
-    u, v = solve_cohomological(t, sigma, geom)
+    u, v = solve_cohomological(t, sigma, geom.K_cut(D))
     assert u.is_real(1e-9) and v.is_real(1e-9)
     assert u.coeff_1norm() > 0
 
@@ -222,7 +224,7 @@ def test_stacked_solver_matches_the_entry_by_entry_formula(Dn, seed, eps, K):
     # relative to each component's largest coefficient.  K = D unless given.
     t, sigma, geom = instance_at_degree(seed, Dn, eps)
     assert geom.K_cut(Dn) == (Dn if K is None else K)
-    got = solve_cohomological(t, sigma, geom)
+    got = solve_cohomological(t, sigma, geom.K_cut(Dn))
     want = cohomological_entries(t, sigma, geom.K_cut(Dn))
     for g, w in zip(got, want):
         scale = np.max(np.abs(w.coeffs))
@@ -239,7 +241,7 @@ def test_stacked_solver_matches_the_entry_by_entry_formula(Dn, seed, eps, K):
 def test_conjugate_identity_on_linear():
     t = InvolutionPair(desk_alpha(), CrownSeries.zero(D), CrownSeries.zero(D))
     geom = desk_geometry(eps=1e-4, t=t)
-    inter = conjugate_step(t, (CrownSeries.zero(D), CrownSeries.zero(D)), geom)
+    inter = conjugate_step(t, (CrownSeries.zero(D), CrownSeries.zero(D)))
     # A = 0, so the split against e^{i alpha/2} is the split against lambda
     out = split_pair(inter.T, t.alpha)
     assert out.p.coeff_1norm() < 1e-13
@@ -251,9 +253,9 @@ def test_theta_scaling_trivial():
     geom = desk_geometry(eps=1e-4, t=t)
     inter = IntermediatePair(
         t.alpha, CoeffSeries.zero(D // 2), t.components(),
-        conjugate_step(t, (CrownSeries.zero(D), CrownSeries.zero(D)), geom).phi,
+        conjugate_step(t, (CrownSeries.zero(D), CrownSeries.zero(D))).phi,
     )
-    out, link = theta_scaling(inter, geom)
+    out, link = theta_scaling(inter, geom.s)
     assert np.allclose(link.theta.coeffs, np.eye(1, D // 2 + 1, 0)[0])
     assert float(np.max(np.abs((out.alpha - t.alpha).coeffs))) < 1e-14
     assert out.p.coeff_1norm() < 1e-13
@@ -275,10 +277,9 @@ def test_theta_scaling_constant_shift():
         conjugate_step(
             InvolutionPair(alpha, CrownSeries.zero(D), CrownSeries.zero(D)),
             (CrownSeries.zero(D), CrownSeries.zero(D)),
-            geom,
         ).phi,
     )
-    out, link = theta_scaling(inter, geom)
+    out, link = theta_scaling(inter, geom.s)
     shift = float((out.alpha - alpha).coeffs[0].real)
     assert shift == pytest.approx(-2 * c * np.sin(lam / 2), rel=1e-10)
     assert shift == pytest.approx(-0.0173205, abs=1e-6)
@@ -362,6 +363,47 @@ def test_main_step_crown_escape_checked():
     assert rep.entries["crown_escape_margin"]["measured"] > 0
 
 
+def step_json(out):
+    """The pair and report of a main_step result as JSON text."""
+    t_plus, _, rep = out
+    return json.dumps([t_plus.to_json(), rep.to_dict()], sort_keys=True)
+
+
+def test_step_algebra_is_reused_only_for_its_pair_K_and_s():
+    t = generic_instance(99, 4e-4)
+    geom = desk_geometry(eps=measured_eps(t, 0.14), t=t)
+    algebra, _ = run_step(t, geom)
+    # same pair object, K and s: taken whole, whatever the omega samples
+    fewer = dataclasses.replace(geom, omega_samples=geom.omega_samples[1:])
+    assert run_step(t, fewer, algebra)[0] is algebra
+    assert step_json(main_step(t, fewer, algebra)) == step_json(main_step(t, fewer))
+    # an equal pair that is another object, another pair, another K, another s
+    other_K = dataclasses.replace(geom, eps=0.8)
+    assert other_K.K_cut(D) != algebra.K
+    cases = [(dataclasses.replace(t), geom), (generic_instance(98, 4e-4), geom),
+             (t, other_K), (t, dataclasses.replace(geom, s=2))]
+    for t2, g2 in cases:
+        assert run_step(t2, g2, algebra)[0] is not algebra
+        assert step_json(main_step(t2, g2, algebra)) == step_json(main_step(t2, g2))
+
+
+@pytest.mark.parametrize("refusal", ["outside-window", "K-below-1"])
+def test_trial_step_refuses_as_main_step_does(refusal):
+    t = generic_instance(99, 4e-4)
+    geom = desk_geometry(eps=measured_eps(t, 0.14), t=t)
+    if refusal == "outside-window":
+        geom = outside_window(geom)
+    else:
+        geom = dataclasses.replace(geom, eps=0.99)
+        assert geom.K_cut(D) < 1
+    with pytest.raises(SeriesError) as by_step:
+        main_step(t, geom)
+    with pytest.raises(SeriesError) as by_trial:
+        _trial_step(t, geom)
+    assert str(by_trial.value) == str(by_step.value)
+    assert ("window" if refusal == "outside-window" else "[truncate]") in str(by_step.value)
+
+
 def escape_margin_reference(phi, geom, n_boundary=24):
     """Worst crown-escape margin, pushing boundary points through phi one at
     a time; returns it with the number of points outside the r_plus bidisk."""
@@ -393,7 +435,7 @@ def test_crown_escape_margin_matches_pointwise_loop():
     # geometry adds omegas where the skip conditions fire
     t = generic_instance(99, 4e-4)
     geom = desk_geometry(eps=measured_eps(t, 0.14), t=t)
-    phi = conjugate_step(t, solve_cohomological(t, compose_sigma(t), geom), geom).phi
+    phi = conjugate_step(t, solve_cohomological(t, compose_sigma(t), geom.K_cut(D))).phi
     w_max = geom.r_plus**2 - geom.beta_plus
     edge = dataclasses.replace(geom, omega_samples=(-0.995 * w_max, 0.995 * w_max, w_max))
     for g, skips in ((geom, False), (edge, True)):
@@ -411,18 +453,9 @@ def outside_window(geom):
 def test_crown_escape_margin_raises_on_empty_window():
     t = generic_instance(99, 4e-4)
     geom = desk_geometry(eps=measured_eps(t, 0.14), t=t)
-    phi = conjugate_step(t, solve_cohomological(t, compose_sigma(t), geom), geom).phi
+    phi = conjugate_step(t, solve_cohomological(t, compose_sigma(t), geom.K_cut(D))).phi
     with pytest.raises(SeriesError, match="window"):
         crown_escape_margin(phi, outside_window(geom))
-
-
-def test_conjugate_step_raises_on_empty_window():
-    # the invertibility guard measures ||U|| in the window; it is not skipped
-    t = generic_instance(99, 4e-4)
-    geom = desk_geometry(eps=measured_eps(t, 0.14), t=t)
-    uv = solve_cohomological(t, compose_sigma(t), geom)
-    with pytest.raises(SeriesError, match="window"):
-        conjugate_step(t, uv, outside_window(geom))
 
 
 def test_sup_coeff_raises_on_empty_window():
@@ -455,7 +488,8 @@ def lone_crown_norm(f, w, beta, r, n):
 @pytest.mark.parametrize("beta", [0.0, 0.002])
 @pytest.mark.parametrize("n_samples", [5, 1])
 def test_window_sups_equal_the_one_omega_maximum(beta, n_samples):
-    # the one pass over the window keeps the bits of omega-by-omega sups
+    # the one pass over the window keeps the bits of omega-by-omega sups, at
+    # D = 12 and at degrees where the crown rows differ more in length
     t = generic_instance(7, 4e-4)
     geom = desk_geometry(eps=1e-3, delta=0.1)
     geom = dataclasses.replace(geom, omega_samples=geom.omega_samples[:n_samples])
@@ -464,8 +498,11 @@ def test_window_sups_equal_the_one_omega_maximum(beta, n_samples):
     h = CoeffSeries(c * 50.0 ** np.arange(7))
     ws, n = geom.window(beta, geom.r), geom.boundary_samples
     assert len(ws) == n_samples
-    assert geom.sup_norm(t.p, beta, geom.r) == max(
-        lone_crown_norm(t.p, w, beta, geom.r, n) for w in ws)
+    rng = np.random.default_rng(9)
+    for f in [t.p] + [CrownSeries(rng.standard_normal((Dn + 1, Dn + 1)) * 1e-3, Dn)
+                      for Dn in (24, 36)]:
+        assert geom.sup_norm(f, beta, geom.r) == max(
+            lone_crown_norm(f, w, beta, geom.r, n) for w in ws)
     assert geom.sup_coeff(h, beta, geom.r) == max(lone_disk_max(h, w, beta, n) for w in ws)
     with pytest.raises(SeriesError, match="window"):
         outside_window(geom).sup_norm(t.p, beta, geom.r)

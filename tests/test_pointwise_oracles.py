@@ -87,7 +87,7 @@ def test_cohomological_coefficients_match_scalar_formula():
     t = build_instance()
     geom = geometry_for(t)
     sigma = compose_sigma(t)
-    u, v = solve_cohomological(t, sigma, geom)
+    u, v = solve_cohomological(t, sigma, geom.K_cut(t.trunc_total))
     f20 = sigma.f.crown_coefficient(2, 0)
     g03 = sigma.g.crown_coefficient(0, 3)
     u20 = u.crown_coefficient(2, 0)
@@ -107,9 +107,9 @@ def test_cohomological_coefficients_match_scalar_formula():
 def test_theta_matches_scalar_fourth_root():
     t = build_instance()
     geom = geometry_for(t)
-    uv = solve_cohomological(t, compose_sigma(t), geom)
-    inter = conjugate_step(t, uv, geom)
-    out, link = theta_scaling(inter, geom)
+    uv = solve_cohomological(t, compose_sigma(t), geom.K_cut(t.trunc_total))
+    inter = conjugate_step(t, uv)
+    out, link = theta_scaling(inter, geom.s)
     for z in (0.004, -0.006, 0.002):
         a = complex(t.alpha.eval(z))
         A = complex(inter.A.eval(z))
@@ -131,8 +131,8 @@ def test_conjugation_matches_pointwise():
     # through pointwise evaluation with a numerically inverted phi
     t = build_instance()
     geom = geometry_for(t)
-    uv = solve_cohomological(t, compose_sigma(t), geom)
-    inter = conjugate_step(t, uv, geom)
+    uv = solve_cohomological(t, compose_sigma(t), geom.K_cut(t.trunc_total))
+    inter = conjugate_step(t, uv)
     phi = inter.phi
     for x, y in POINTS:
         X, Y = phi.apply_point(x, y)

@@ -227,7 +227,7 @@ def test_radius_zero_perturbation_case1():
         CrownSeries.zero(10),
         CrownSeries.zero(10),
     )
-    res = radius_search(t)
+    res, _ = radius_search(t)
     assert res.branch == "case1"
     assert res.A == 0.0
     assert res.eps0 == 0.0
@@ -243,7 +243,7 @@ def test_radius_A_scaling_slope():
 
 def test_radius_search_practical_contracts():
     t = prepared_fixture()
-    res = radius_search(t)
+    res, _ = radius_search(t)
     assert res.branch in ("case1", "case2")
     assert res.trial is not None
     assert res.trial["p_plus"] <= res.trial["target"]
@@ -265,7 +265,7 @@ def test_radius_search_case2_on_large_skew():
         return CrownSeries(c, D)
 
     t = synthesize_pair(alpha, (rand_u(), rand_u()))
-    res = radius_search(t)
+    res, _ = radius_search(t)
     assert res.branch == "case2"
     assert res.skew_measured >= res.skew_threshold
 
@@ -283,7 +283,7 @@ def test_radius_search_reports_the_schedule_inequality():
     # rigorous_lhs is the schedule's feasibility_lhs at eps0 = A^{49/50},
     # r0 = (3/4) r_*: the first factor reads |ln eps0|, not |ln A|
     t = prepared_fixture()
-    res = radius_search(t)
+    res, _ = radius_search(t)
     sch = build_schedule(t.s_order, 0.75 * res.r_star, res.A ** (49 / 50), 1)
     assert res.rigorous_lhs == sch.feasibility_lhs
     assert res.rigorous_feasible is sch.feasible_rigorous is False
@@ -310,6 +310,6 @@ def test_full_prenormalize_pipeline():
     # every chain link commutes with rho
     for link in chain:
         assert link.is_real(1e-9)
-    res = radius_search(prep)
+    res, _ = radius_search(prep)
     assert res.branch == "case1"
     assert res.rigorous_feasible is False  # desk scale: verbatim bound infeasible

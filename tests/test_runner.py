@@ -6,6 +6,8 @@ import json
 import numpy as np
 import pytest
 
+from crownkam import runner, series
+from crownkam.kamstep import main_step
 from crownkam.runner import (
     FIXTURES,
     ConfigError,
@@ -16,6 +18,7 @@ from crownkam.runner import (
     extract_curves,
     full_chain,
     pair_from_direct,
+    prepare,
     run_cli,
     run_pipeline,
     select_omegas,
@@ -112,9 +115,36 @@ def test_direct_input_prepared_form():
         }
     )
     state, record, curves = run_pipeline(cfg)
-    assert record["prenormalization"] == {"skipped": "direct input in prepared form"}
+    assert record["prenormalization"] == {"skipped": "direct input in prepared form", "s": 1}
     assert state.eps_measured[-1] < state.eps_measured[0]
     assert record["status"] in ("completed", "converged-to-truncation")
+
+
+def twisted_direct_config(alpha):
+    lam = 2 * np.arccos(1 / (2 * 0.77))
+    return RunConfig.from_dict({
+        "direct": {
+            "alpha": [[lam, 0.0]] + alpha,
+            "p_monomials": [[4, 2, 2e-4, 0.0]],
+            "q_monomials": [[2, 4, -2e-4 * np.cos(lam / 2), -2e-4 * np.sin(lam / 2)]],
+        },
+        "N": 2,
+        "degree": 12,
+        "max_nu": 2,
+    })
+
+
+def test_direct_input_runs_at_the_twist_order_of_its_exponent():
+    # alpha = lam + z^2 is prepared form with s = 2; the twist order used to be 1
+    state, record = prepare(twisted_direct_config([[0.0, 0.0], [1.0, 0.0]]))
+    assert record["prenormalization"]["s"] == 2
+    assert state.pair.s_order == 2
+
+
+def test_direct_input_refuses_a_degenerate_exponent_with_a_perturbation():
+    # the z coefficient sits below the degeneracy tolerance: no twist to sieve with
+    with pytest.raises(SeriesError, match="degenerate"):
+        prepare(twisted_direct_config([[1e-13, 0.0]]))
 
 
 @pytest.mark.parametrize("mono", [[-1, 0, 1e-4, 0.0], [7, 6, 1e-4, 0.0], [13, 0, 1e-4, 0.0]])
@@ -130,26 +160,27 @@ def test_direct_rejects_monomials_outside_the_degree(mono):
 # ---------------------------------------------------------------------------
 
 
-def test_case2_preliminary_step_branch():
+def case2_direct_config() -> dict:
     # a single high-order monomial pair has no skew cancellation, so the
     # radius search lands in Case 2 and prepare runs one preliminary step
     lam = 2 * np.arccos(1 / (2 * 0.77))
     c = 5e-3
     q = -c * np.exp(0.5j * lam * 5)  # involution partner of p = c xi^6
-    cfg = RunConfig.from_dict(
-        {
-            "direct": {
-                "alpha": [[lam, 0.0], [1.0, 0.0]],
-                "p_monomials": [[6, 0, c, 0.0]],
-                "q_monomials": [[0, 6, q.real, q.imag]],
-            },
-            "s_hint": 1,
-            "N": 2,
-            "degree": 12,
-            "max_nu": 2,
-        }
-    )
-    state, record, curves = run_pipeline(cfg)
+    return {
+        "direct": {
+            "alpha": [[lam, 0.0], [1.0, 0.0]],
+            "p_monomials": [[6, 0, c, 0.0]],
+            "q_monomials": [[0, 6, q.real, q.imag]],
+        },
+        "s_hint": 1,
+        "N": 2,
+        "degree": 12,
+        "max_nu": 2,
+    }
+
+
+def test_case2_preliminary_step_branch():
+    state, record, curves = run_pipeline(RunConfig.from_dict(case2_direct_config()))
     assert record["radius_search"]["branch"] == "case2"
     assert record["preliminary_step"] is not None
     assert record["entry"]["skew_hypothesis_pass"]
@@ -157,6 +188,49 @@ def test_case2_preliminary_step_branch():
     assert record["psi_factorizations"]["prelim_links"][-2:] == [
         "cohomological", "theta-scaling",
     ]
+
+
+def step_json(out):
+    t_plus, _, rep = out
+    return json.dumps([t_plus.to_json(), rep.to_dict()], sort_keys=True)
+
+
+@pytest.mark.parametrize("config, branch", [
+    (FIXTURES["cubic"], "case1"), (case2_direct_config(), "case2"),
+], ids=["cubic", "case2-direct"])
+def test_the_step_after_the_radius_search_takes_the_trial_algebra(monkeypatch, config, branch):
+    # case 1: iterate's first step; case 2: the preliminary step.  Either
+    # starts from the trial's pair at its K, takes the trial's algebra and
+    # reports what the same step computed afresh reports
+    taken = []
+
+    def checked_step(t, geom, prior=None):
+        out = main_step(t, geom, prior)
+        if prior is not None:
+            assert out[0] is prior.t_plus
+            assert step_json(out) == step_json(main_step(t, geom))
+            taken.append(prior)
+        return out
+
+    monkeypatch.setattr(runner, "main_step", checked_step)
+    state, record, _ = run_pipeline(RunConfig.from_dict(dict(config)))
+    assert record["radius_search"]["branch"] == branch
+    assert len(taken) == 1
+    assert state.first_step_algebra is None
+
+
+def test_cubic_run_composes_42_times(monkeypatch):
+    # one composition count per run pins the trial's algebra being taken by
+    # the first step, not run again (49 compositions when it was)
+    compose, calls = series._compose, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return compose(*args, **kwargs)
+
+    monkeypatch.setattr(series, "_compose", counted)
+    run_pipeline(RunConfig.from_dict(dict(FIXTURES["cubic"])))
+    assert len(calls) == 42
 
 
 def test_linear_start_exits_immediately(linear_run):
