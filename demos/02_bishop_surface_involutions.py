@@ -45,7 +45,7 @@ err = np.max(np.abs(S.coeffs - M0.quadric().coeffs))
 print(f"  coefficientwise error vs Q_gamma: {err:.2e}")
 
 print("\n== sampling the hyperbola images on the surface ==")
-rows = hyperbola_image(pair, [], omegas=[0.003], R=0.1, n_pts=3, surface=M, frame=frame)
+rows = hyperbola_image([], omegas=[0.003], R=0.1, n_pts=3, surface=M, frame=frame)
 for row in rows[:6]:
     tag = "real branch" if row["is_real_branch"] else "           "
     print(

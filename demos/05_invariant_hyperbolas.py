@@ -8,7 +8,7 @@ the check independent of the chain algebra.
 
 import numpy as np
 
-from crownkam.runner import FIXTURES, RunConfig, run_pipeline, smoothness_diagnostic
+from crownkam.runner import FIXTURES, RunConfig, run_pipeline
 
 cfg = RunConfig.from_dict(dict(FIXTURES["cubic"]))
 state, record, curves = run_pipeline(cfg)
@@ -31,10 +31,3 @@ print(f"{'omega':>14}  {'mu_omega':>12}  {'conjugacy':>10}  {'rho-equiv':>10}")
 for c in curves[:10]:
     print(f"{c.omega:>14.5e}  {c.mu_omega:>12.8f}  "
           f"{c.conjugacy_residual:>10.2e}  {c.rho_equivariance_residual:>10.2e}")
-
-diag = smoothness_diagnostic(curves)
-d1 = diag["orders"][1]
-print(f"\nsmoothness diagnostic ({diag['label']}):")
-print(f"  first divided differences of omega -> mu_omega: "
-      f"min {min(d1):.3f}, max {max(d1):.3f}")
-print(f"  Lipschitz estimate: {diag['lipschitz_estimate']:.3f}")

@@ -11,7 +11,7 @@ from .involution import InvolutionPair, ReversibleMap, compose_sigma, skew_term
 from .kamstep import StepGeometry, main_step
 from .moserwebster import BishopSurface, diagonalize, reconstruct_surface
 from .prenormal import poincare_dulac, prenormalize, radius_search
-from .runner import RunConfig, extract_curve, iterate, prepare, run_cli
+from .runner import RunConfig, iterate, prepare, run_cli
 from .series import CoeffSeries, CrownNormParams, CrownSeries
 from .sieve import IntervalSet, build_schedule, excise_resonances, pyartli_bound
 
@@ -29,7 +29,6 @@ __all__ = [
     "compose_sigma",
     "diagonalize",
     "excise_resonances",
-    "extract_curve",
     "iterate",
     "main_step",
     "poincare_dulac",

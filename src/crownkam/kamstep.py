@@ -80,10 +80,6 @@ class StepGeometry:
         return self.r_m(7)
 
     @property
-    def r_tilde(self) -> float:
-        return self.r_m(4)
-
-    @property
     def beta_tilde(self) -> float:
         return min(16.0 * self.beta**1.25, self.beta / 2.0)
 

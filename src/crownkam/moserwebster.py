@@ -226,52 +226,31 @@ def invert_map(F: MapPair) -> MapPair:
 
 
 def hyperbola_image(
-    t: InvolutionPair,
     psi_chain,
     omegas,
     R: float,
     n_pts: int,
-    surface: BishopSurface | None = None,
-    frame: DiagonalFrame | None = None,
+    surface: BishopSurface,
+    frame: DiagonalFrame,
 ) -> list[dict]:
-    """Sample the images of {xi eta = omega} for each of ``omegas`` under the
-    chain and the embedding, in one pass over every curve's points.
+    """Sample the images of {xi eta = omega} on the surface for each of
+    ``omegas``, in one pass over every curve's points.
 
     Points (xi, omega/xi) are taken on ``n_pts`` log-spaced moduli in
     (|omega|/R, R) at ``HYPERBOLA_ARGS`` arguments plus the two real-branch points
     xi = +-sqrt(|omega|); each is pushed through the transform chain, then
-    through the embedding.  By default the embedding is the invariant pair
-    (phi1, Phi) = (xi + xi o tau1, (xi o tau1) xi); when the originating
-    surface and frame are supplied, the true surface coordinates
-    z1 = a xi + b eta, z2 = Q_gamma + f are emitted instead (on those, z2 is
-    real along the real branches).  Real-branch points are flagged.  The rows
-    are those of the one-omega calls, concatenated in the order of
-    ``omegas``; an omega outside (-R^2, R^2) \\ {0}, or a nan, is rejected
-    before any point is sampled.
+    through the embedding z1 = a xi + b eta, z2 = Q_gamma + f of the
+    originating surface and its frame (on those, z2 is real along the real
+    branches).  Real-branch points are flagged.  The rows are those of the
+    one-omega calls, concatenated in the order of ``omegas``; an omega outside
+    (-R^2, R^2) \\ {0}, or a nan, is rejected before any point is sampled.
     """
     for omega in omegas:
         if not 0.0 < abs(omega) < R * R:
             raise SeriesError(f"omega = {omega} must lie in (-R^2, R^2) \\ {{0}}")
     if n_pts <= 0 or len(omegas) == 0:
         return []
-    D = t.trunc_total
-    if surface is not None and frame is not None:
-        height = surface.height()
-
-        def embed(x, y):
-            z1 = frame.a * x + frame.b * y
-            w1 = np.conj(frame.a) * x + np.conj(frame.b) * y
-            return z1, height.eval(z1, w1)
-
-    else:
-        T = t.components()
-        xi_coord = CrownSeries.xi(D)
-        phi1 = xi_coord + T[0]
-        Phi = multiply(T[0], xi_coord)
-
-        def embed(x, y):
-            return phi1.eval(x, y), Phi.eval(x, y)
-
+    height = surface.height()
     ks = np.arange(HYPERBOLA_ARGS)
     xi0, eta0, arg_index, omega_of = [], [], [], []
     for omega in omegas:
@@ -288,7 +267,9 @@ def hyperbola_image(
         arg_index.append(args)
         omega_of += [omega] * xi.size
     xi0, eta0, arg_index = (np.concatenate(v) for v in (xi0, eta0, arg_index))
-    z1, z2 = embed(*chain_apply(psi_chain, xi0, eta0))
+    x, y = chain_apply(psi_chain, xi0, eta0)
+    z1 = frame.a * x + frame.b * y
+    z2 = height.eval(z1, np.conj(frame.a) * x + np.conj(frame.b) * y)
     is_real = (np.abs(xi0.imag) < 1e-14) & (np.abs(eta0.imag) < 1e-14)
     return [
         {

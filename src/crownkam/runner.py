@@ -1,5 +1,5 @@
-"""End-to-end driver: preparation, iteration loop, curve extraction,
-smoothness diagnostics, and the command-line interface.
+"""End-to-end driver: preparation, iteration loop, curve extraction and the
+command-line interface.
 
 The pipeline is
 
@@ -95,6 +95,10 @@ class RunConfig:
             if isinstance(value, bool) or not isinstance(value, (int, kind)):
                 noun = "an integer" if kind is int else "a real number"
                 raise ConfigError(f"{name}: must be {noun}, got {value!r}")
+        for name in ("s_hint", "N", "max_nu", "omega_count", "n_curve_points"):
+            value = getattr(self, name)
+            if value is not None and value <= 0:
+                raise ConfigError(f"{name}: must be positive, got {value!r}")
         if self.N is None:
             self.N = 16 * self.s_hint
         if self.degree is None:
@@ -103,9 +107,6 @@ class RunConfig:
             raise ConfigError(
                 f"degree: need degree >= 2(2N+2) = {2 * (2 * self.N + 2)}, got {self.degree}"
             )
-        for name in ("max_nu", "omega_count", "n_curve_points"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name}: must be positive")
         if not 0 < self.omega_window <= 1:
             raise ConfigError("omega_window: must lie in (0, 1]")
         if self.convergence_floor <= 0:
@@ -400,14 +401,10 @@ def full_chain(state: KamState) -> list:
     return links
 
 
-def extract_curve(state: KamState, omega: float, n_pts: int) -> CurveResult:
-    """Evaluate the conjugacy on {xi eta = omega} against the original map."""
-    return extract_curves(state, [omega], n_pts)[0]
-
-
 def extract_curves(state: KamState, omegas, n_pts: int) -> list[CurveResult]:
-    """``extract_curve`` at every omega, with one chain pass and one sigma
-    evaluation over all curves' points; raises on the first rejected omega."""
+    """Evaluate the conjugacy on {xi eta = omega} against the original map at
+    every omega, with one chain pass and one sigma evaluation over all
+    curves' points; raises on the first rejected omega."""
     R = state.r
     for omega in omegas:
         if omega not in state.O:
@@ -444,34 +441,6 @@ def extract_curves(state: KamState, omegas, n_pts: int) -> list[CurveResult]:
                        axis=-1)
     return [CurveResult(omega, mu, float(res), float(rho), tail, rows.tolist())
             for omega, mu, res, rho, rows in zip(omegas, mus, resid, rho_resid, samples)]
-
-
-def smoothness_diagnostic(results: list[CurveResult]) -> dict:
-    """Divided differences of omega -> mu_omega up to order min(3, n-1).
-
-    A finite-difference diagnostic only; it makes no Whitney-regularity
-    claim across the excised gaps.
-    """
-    pts = sorted(results, key=lambda c: c.omega)
-    if len(pts) < 2:
-        raise SeriesError("need at least two curve results with distinct omega")
-    om = [c.omega for c in pts]
-    if len(set(om)) != len(om):
-        raise SeriesError("duplicate omega in smoothness diagnostic")
-    mu = [c.mu_omega for c in pts]
-    level = list(mu)
-    xs = list(om)
-    out = {"orders": {}}
-    for order in range(1, min(3, len(pts) - 1) + 1):
-        nxt = []
-        for i in range(len(level) - 1):
-            nxt.append((level[i + 1] - level[i]) / (xs[i + 1 + order - 1] - xs[i]))
-        level = nxt
-        out["orders"][order] = [float(v) for v in level]
-    d1 = out["orders"].get(1, [0.0])
-    out["lipschitz_estimate"] = float(max(abs(v) for v in d1)) if d1 else 0.0
-    out["label"] = "finite-difference diagnostic (no Whitney-norm claim)"
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -619,8 +588,6 @@ def run_pipeline(config: RunConfig) -> tuple[KamState, dict, list]:
         for c in curves
     ]
     record["excluded_omegas"] = excluded
-    if len(curves) >= 2:
-        record["smoothness"] = smoothness_diagnostic(curves)
     return state, record, curves
 
 
@@ -678,6 +645,20 @@ def verify_suite(out_dir: str) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _read_json_object(path: str, name: str) -> dict:
+    """The JSON object in the file at path; a missing file, invalid JSON or a
+    JSON value other than an object raises ConfigError under the given name."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except FileNotFoundError as e:
+        raise ConfigError(f"{name}: {e}") from e
+    except json.JSONDecodeError as e:
+        raise ConfigError(f"{name}: invalid JSON ({e})") from e
+    _require_object(data, name)
+    return data
+
+
 def _load_config(args) -> RunConfig:
     if args.seed_fixture:
         if args.seed_fixture not in FIXTURES:
@@ -687,17 +668,9 @@ def _load_config(args) -> RunConfig:
             )
         data = dict(FIXTURES[args.seed_fixture])
     else:
-        path = args.config or os.environ.get("KAM_CONFIG")
-        if not path:
-            raise ConfigError("config: no --config path, KAM_CONFIG or --seed-fixture given")
-        try:
-            with open(path) as fh:
-                data = json.load(fh)
-        except FileNotFoundError as e:
-            raise ConfigError(f"config: {e}") from e
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"config: invalid JSON ({e})") from e
-        _require_object(data, "config")
+        if not args.config:
+            raise ConfigError("config: no --config path or --seed-fixture given")
+        data = _read_json_object(args.config, "config")
     if args.max_nu is not None:
         data["max_nu"] = args.max_nu
     if args.degree is not None:
@@ -725,9 +698,7 @@ def run_cli(argv=None) -> int:
     try:
         if args.command == "report":
             path = os.path.join(args.out or "out", "run_report.json")
-            with open(path) as fh:
-                data = json.load(fh)
-            _print_summary(data)
+            _print_summary(_read_json_object(path, path))
             return 0
         if args.command == "verify":
             out_dir = args.out or "out"
@@ -771,10 +742,8 @@ def run_cli(argv=None) -> int:
             write_sieve_csv(os.path.join(config.out_dir, "sieve.csv"), state)
             hyperbolas = []
             if state.surface is not None:
-                hyperbolas = hyperbola_image(
-                    state.pair, full_chain(state), [c.omega for c in curves[:4]], state.r, 5,
-                    surface=state.surface, frame=state.frame,
-                )
+                hyperbolas = hyperbola_image(full_chain(state), [c.omega for c in curves[:4]],
+                                             state.r, 5, state.surface, state.frame)
             write_curves_csv(config.out_dir, curves, hyperbolas)
             _print_summary(record)
             failed = state.status.startswith("step-failed") or state.status == "empty-parameter-set"

@@ -383,12 +383,6 @@ class CrownSeries:
         return CrownSeries(np.zeros((D + 1, D + 1)), D)
 
     @staticmethod
-    def constant(value, D: int) -> "CrownSeries":
-        c = np.zeros((D + 1, D + 1), dtype=np.complex128)
-        c[0, 0] = value
-        return CrownSeries(c, D)
-
-    @staticmethod
     def monomial(m: int, n: int, D: int, value=1.0) -> "CrownSeries":
         if m + n > D:
             raise SeriesError("monomial degree exceeds truncation")
@@ -436,9 +430,6 @@ class CrownSeries:
         live = (c.real != 0) | (c.imag != 0) | np.signbit(c.real) | np.signbit(c.imag)
         m, n = np.nonzero(live & _triangle_mask(self.trunc_total + 1))
         return int(np.max(m + n, initial=-1))
-
-    def coeff_1norm(self) -> float:
-        return float(np.sum(np.abs(self.coeffs)))
 
     def max_abs_coeff(self) -> float:
         return float(np.max(np.abs(self.coeffs)))
@@ -488,10 +479,6 @@ class CrownSeries:
     def conj(self) -> "CrownSeries":
         """Coefficientwise conjugate; realizes rho-conjugation of maps."""
         return CrownSeries._adopt(np.conj(self.coeffs), self.trunc_total)
-
-    def swap(self) -> "CrownSeries":
-        """f(eta, xi): transpose of the coefficient array."""
-        return CrownSeries._adopt(self.coeffs.T.copy(), self.trunc_total)
 
     # -- crown decomposition ---------------------------------------------------
 

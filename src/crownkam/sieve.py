@@ -49,9 +49,6 @@ class IntervalSet:
     def __repr__(self):
         return f"IntervalSet({list(self.intervals)})"
 
-    def union(self, other: "IntervalSet") -> "IntervalSet":
-        return IntervalSet(list(self.intervals) + list(other.intervals))
-
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
         out = []
         for a, b in self.intervals:
@@ -92,13 +89,6 @@ class IntervalSet:
             n = max(1, int(round(count * (b - a) / total)))
             pts.extend(np.linspace(a, b, n + 2)[1:-1])
         return np.array(pts)
-
-    def to_json(self) -> list:
-        return [[a, b] for a, b in self.intervals]
-
-    @staticmethod
-    def from_json(data) -> "IntervalSet":
-        return IntervalSet([(a, b) for a, b in data])
 
 
 def pyartli_bound(q: int, delta: float, A: float) -> float:

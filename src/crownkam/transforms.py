@@ -33,9 +33,6 @@ class PolyLink:
         f, g = self._point_maps
         return f.eval(x, y), g.eval(x, y)
 
-    def is_real(self, tol: float = 1e-9) -> bool:
-        return self.forward[0].is_real(tol) and self.forward[1].is_real(tol)
-
     def realness_defect(self) -> float:
         return max(
             self.forward[0].realness_defect(), self.forward[1].realness_defect()
@@ -62,9 +59,6 @@ class ScalingLink:
         t = self.theta.eval(x * y)
         return (t * x, y / t)
 
-    def is_real(self, tol: float = 1e-9) -> bool:
-        return self.theta.is_real(tol)
-
     def realness_defect(self) -> float:
         return self.theta.realness_defect()
 
@@ -80,9 +74,6 @@ class RadialLink:
     def apply_point(self, x, y):
         s = -1.0 if self.flip else 1.0
         return (self.t * x, s * self.t * y)
-
-    def is_real(self, tol: float = 1e-9) -> bool:
-        return True
 
     def realness_defect(self) -> float:
         return 0.0

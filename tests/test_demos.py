@@ -1,4 +1,5 @@
-"""Every script in demos/ runs to completion in a fresh interpreter."""
+"""Every script in demos/ runs to completion in a fresh interpreter, with numpy's
+RuntimeWarnings raised as errors."""
 
 import os
 import subprocess
@@ -18,7 +19,7 @@ def test_demo_runs(demo, tmp_path):
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     proc = subprocess.run(
-        [sys.executable, str(demo)],
+        [sys.executable, "-W", "error::RuntimeWarning", str(demo)],
         cwd=tmp_path,
         env=env,
         capture_output=True,

@@ -97,7 +97,6 @@ def test_geometry_orderings_and_K():
     g = desk_geometry(eps=1e-4, delta=0.1)
     assert 0 < g.beta_plus < g.beta_tilde < g.beta
     assert g.r_plus < g.r7 < g.r
-    assert g.r_tilde == pytest.approx((g.r + g.r_plus) / 2)
     want_K = abs(np.log(1e-4)) / abs(np.log(g.r7 / g.r))
     assert g.K_formula == pytest.approx(want_K)
     assert g.K_cut(D) == min(int(want_K), D)
@@ -114,7 +113,7 @@ def test_truncate_noop_below_K():
     q = CrownSeries.monomial(0, 2, D, 0.25)
     pK, qK, tail = truncate_K(p, q, 12, g)
     assert tail == 0.0
-    assert (pK - p).coeff_1norm() == 0.0
+    assert np.abs((pK - p).coeffs).sum() == 0.0
 
 
 def test_truncate_single_monomial_tail():
@@ -123,7 +122,7 @@ def test_truncate_single_monomial_tail():
     p = CrownSeries.monomial(K + 1, 0, D)
     q = CrownSeries.zero(D)
     pK, qK, tail = truncate_K(p, q, K, g)
-    assert pK.coeff_1norm() == 0.0
+    assert np.abs(pK.coeffs).sum() == 0.0
     assert tail == pytest.approx(g.r7 ** (K + 1), rel=1e-12)
 
 
@@ -161,8 +160,8 @@ def test_solver_zero_input():
     geom = desk_geometry(eps=1e-4, t=t)
     sigma = compose_sigma(t)
     u, v = solve_cohomological(t, sigma, geom.K_cut(D))
-    assert u.coeff_1norm() < 1e-14
-    assert v.coeff_1norm() < 1e-14
+    assert np.abs(u.coeffs).sum() < 1e-14
+    assert np.abs(v.coeffs).sum() < 1e-14
 
 
 def test_solver_divisor_guard():
@@ -178,7 +177,7 @@ def test_solver_output_is_real():
     sigma = compose_sigma(t)
     u, v = solve_cohomological(t, sigma, geom.K_cut(D))
     assert u.is_real(1e-9) and v.is_real(1e-9)
-    assert u.coeff_1norm() > 0
+    assert np.abs(u.coeffs).sum() > 0
 
 
 def test_solver_residual_bounds_on_desk_instances():
@@ -244,8 +243,8 @@ def test_conjugate_identity_on_linear():
     inter = conjugate_step(t, (CrownSeries.zero(D), CrownSeries.zero(D)))
     # A = 0, so the split against e^{i alpha/2} is the split against lambda
     out = split_pair(inter.T, t.alpha)
-    assert out.p.coeff_1norm() < 1e-13
-    assert out.q.coeff_1norm() < 1e-13
+    assert np.abs(out.p.coeffs).sum() < 1e-13
+    assert np.abs(out.q.coeffs).sum() < 1e-13
 
 
 def test_theta_scaling_trivial():
@@ -258,7 +257,7 @@ def test_theta_scaling_trivial():
     out, link = theta_scaling(inter, geom.s)
     assert np.allclose(link.theta.coeffs, np.eye(1, D // 2 + 1, 0)[0])
     assert float(np.max(np.abs((out.alpha - t.alpha).coeffs))) < 1e-14
-    assert out.p.coeff_1norm() < 1e-13
+    assert np.abs(out.p.coeffs).sum() < 1e-13
 
 
 def test_theta_scaling_constant_shift():
@@ -314,7 +313,7 @@ def test_main_step_identity_on_linear():
     t = InvolutionPair(desk_alpha(), CrownSeries.zero(D), CrownSeries.zero(D))
     geom = desk_geometry(eps=1e-6, t=t)
     t1, chain, rep = main_step(t, geom)
-    assert t1.p.coeff_1norm() < 1e-12
+    assert np.abs(t1.p.coeffs).sum() < 1e-12
     assert float(np.max(np.abs((t1.alpha - t.alpha).coeffs))) < 1e-12
     # the transform chain is the identity to truncation
     x, y = chain_apply(chain, 0.05 + 0.01j, 0.03 - 0.02j)

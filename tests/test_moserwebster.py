@@ -13,7 +13,8 @@ from crownkam.moserwebster import (
     reconstruct_surface,
     surface_from_config,
 )
-from crownkam.series import CrownSeries, SeriesError, multiply, substitute_pair
+from crownkam.series import CoeffSeries, CrownSeries, SeriesError, multiply, substitute_pair
+from crownkam.transforms import RadialLink, ScalingLink
 
 
 def quadric_surface(gamma, D=8):
@@ -193,10 +194,12 @@ def test_invert_map_roundtrip():
 
 
 def test_hyperbola_linear_pair_constant_z2():
-    frame, pair = diagonalize(quadric_surface(1.0))
+    # the quadric's height in the frame is c xi eta, c = |a|^2 (1 - 4 gamma^2) / gamma
+    M = quadric_surface(1.0)
+    frame, _ = diagonalize(M)
     omega = 0.004
-    rows = hyperbola_image(pair, [], [omega], R=0.1, n_pts=7)
-    want = np.exp(0.5j * frame.lam) * omega
+    rows = hyperbola_image([], [omega], R=0.1, n_pts=7, surface=M, frame=frame)
+    want = abs(frame.a) ** 2 * (1.0 - 4.0 * frame.gamma**2) / frame.gamma * omega
     for row in rows:
         z2 = complex(row["re_z2"], row["im_z2"])
         assert abs(z2 - want) < 1e-12
@@ -206,45 +209,49 @@ def test_hyperbola_real_branch_flags():
     # through the surface embedding, real-branch points land on the real
     # trace of M, where the height is real-valued (rho-equivariance)
     M = cubic_surface(1.0, c=0.02)
-    frame, pair = diagonalize(M)
+    frame, _ = diagonalize(M)
     for omega in (0.003, -0.002):
-        rows = hyperbola_image(pair, [], [omega], R=0.1, n_pts=5, surface=M, frame=frame)
+        rows = hyperbola_image([], [omega], R=0.1, n_pts=5, surface=M, frame=frame)
         real_rows = [r for r in rows if r["is_real_branch"]]
         assert len(real_rows) >= 2
         for r in real_rows:
             assert abs(r["im_z2"]) < 1e-10
 
 
-@pytest.mark.parametrize("embedded", [False, True])
-def test_hyperbola_list_is_the_one_omega_calls_concatenated(embedded):
+@pytest.mark.parametrize("chained", [False, True])
+def test_hyperbola_list_is_the_one_omega_calls_concatenated(chained):
     # one chain pass over every curve gives the rows of the one-omega calls, bit for bit
     M = cubic_surface(1.0, c=0.02)
-    frame, pair = diagonalize(M)
-    kw = {"surface": M, "frame": frame} if embedded else {}
+    frame, _ = diagonalize(M)
+    chain = [ScalingLink(CoeffSeries(np.array([1.0, 0.3]), real=True)),
+             RadialLink(0.8, flip=True)] if chained else []
+    kw = {"R": 0.1, "n_pts": 5, "surface": M, "frame": frame}
     omegas = [0.003, -0.002, 0.0004, -0.0081]
-    rows = hyperbola_image(pair, [], omegas, R=0.1, n_pts=5, **kw)
-    singles = [r for w in omegas for r in hyperbola_image(pair, [], [w], R=0.1, n_pts=5, **kw)]
+    rows = hyperbola_image(chain, omegas, **kw)
+    singles = [r for w in omegas for r in hyperbola_image(chain, [w], **kw)]
     assert repr(rows) == repr(singles)
     assert [r["omega"] for r in rows[::22]] == omegas
-    assert hyperbola_image(pair, [], [], R=0.1, n_pts=5, **kw) == []
+    assert hyperbola_image(chain, [], **kw) == []
 
 
 @pytest.mark.parametrize("bad", [0.0, -0.0, 0.0101, -0.0101, 0.5, float("nan")])
 @pytest.mark.parametrize("where", [0, 1, 2])
 def test_hyperbola_list_rejects_every_bad_omega(bad, where):
-    _, pair = diagonalize(quadric_surface(1.0))
+    M = quadric_surface(1.0)
+    frame, _ = diagonalize(M)
     omegas = [0.003, -0.002]
     omegas.insert(where, bad)
     for n_pts in (3, 0):
         with pytest.raises(SeriesError):
-            hyperbola_image(pair, [], omegas, R=0.1, n_pts=n_pts)
+            hyperbola_image([], omegas, R=0.1, n_pts=n_pts, surface=M, frame=frame)
 
 
 def test_hyperbola_empty_and_range_checks():
-    _, pair = diagonalize(quadric_surface(1.0))
-    assert hyperbola_image(pair, [], [0.004], R=0.1, n_pts=0) == []
+    M = quadric_surface(1.0)
+    frame, _ = diagonalize(M)
+    assert hyperbola_image([], [0.004], R=0.1, n_pts=0, surface=M, frame=frame) == []
     with pytest.raises(SeriesError):
-        hyperbola_image(pair, [], [0.02], R=0.1, n_pts=3)
+        hyperbola_image([], [0.02], R=0.1, n_pts=3, surface=M, frame=frame)
 
 
 # ---------------------------------------------------------------------------

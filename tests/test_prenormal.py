@@ -56,7 +56,7 @@ def test_pd_linear_pair_untouched():
     t = const_pair(10)
     out, chain, report = poincare_dulac(t, N=2)
     assert chain == []
-    assert out.p.coeff_1norm() == 0.0
+    assert np.abs(out.p.coeffs).sum() == 0.0
     assert all(d["eliminated"] == 0 for d in report["per_degree"])
 
 
@@ -81,7 +81,7 @@ def test_pd_eliminates_single_monomial():
     assert abs(out.p.coeffs[3, 0]) < 1e-13
     assert len(chain) >= 1
     for link in chain:
-        assert link.is_real(1e-12)
+        assert link.realness_defect() <= 1e-12
     # conjugation consistency: chain applied to the original reproduces out
     T = t.components()
     for link in chain:
@@ -309,7 +309,7 @@ def test_full_prenormalize_pipeline():
     assert prep.p.order(tol=1e-11) >= 6
     # every chain link commutes with rho
     for link in chain:
-        assert link.is_real(1e-9)
+        assert link.realness_defect() <= 1e-9
     res, _ = radius_search(prep)
     assert res.branch == "case1"
     assert res.rigorous_feasible is False  # desk scale: verbatim bound infeasible

@@ -14,7 +14,6 @@ from crownkam.runner import (
     _write_csv,
     CurveResult,
     RunConfig,
-    extract_curve,
     extract_curves,
     full_chain,
     pair_from_direct,
@@ -22,7 +21,6 @@ from crownkam.runner import (
     run_cli,
     run_pipeline,
     select_omegas,
-    smoothness_diagnostic,
 )
 from crownkam.series import SeriesError
 from crownkam.transforms import chain_apply
@@ -291,7 +289,7 @@ def test_chain_cauchy_decrease(cubic_run):
 
 def test_extract_curve_linear(linear_run):
     state, record, curves = linear_run
-    c = extract_curve(state, 0.2 * state.r**2, 16)
+    [c] = extract_curves(state, [0.2 * state.r**2], 16)
     assert c.conjugacy_residual < 1e-10
     assert c.mu_omega == pytest.approx(state.lam0, abs=1e-10)
 
@@ -302,9 +300,9 @@ def test_extract_curve_rejects_excluded(cubic_run):
     for gap in gaps:
         assert gap["resonance_order"] >= 1
         with pytest.raises(SeriesError):
-            extract_curve(state, gap["omega"], 8)
+            extract_curves(state, [gap["omega"]], 8)
     with pytest.raises(SeriesError):
-        extract_curve(state, state.r**2 * 5, 8)
+        extract_curves(state, [state.r**2 * 5], 8)
 
 
 def assert_same_curves(got, want):
@@ -334,8 +332,8 @@ def lone_curve(state, omega, n_pts):
                       np.max(np.abs(sigma2.eval(X, Y) - Yr))))
     rho = float(max(np.max(np.abs(Xc - np.conj(X))), np.max(np.abs(Yc - np.conj(Y)))))
     samples = np.column_stack([x0.real, x0.imag, X.real, X.imag, Y.real, Y.imag]).tolist()
-    return CurveResult(omega, mu, resid, rho, extract_curve(state, omega, n_pts).chain_tail,
-                       samples)
+    tail = extract_curves(state, [omega], n_pts)[0].chain_tail
+    return CurveResult(omega, mu, resid, rho, tail, samples)
 
 
 @pytest.mark.parametrize("run", ["linear_run", "cubic_run"])
@@ -345,7 +343,7 @@ def test_extract_curves_matches_one_curve_at_a_time(run, request):
     omegas = [c.omega for c in curves]
     for n_pts in (8, 20):
         got = extract_curves(state, omegas, n_pts)
-        assert_same_curves(got, [extract_curve(state, w, n_pts) for w in omegas])
+        assert_same_curves(got, [extract_curves(state, [w], n_pts)[0] for w in omegas])
         assert_same_curves(got, [lone_curve(state, w, n_pts) for w in omegas])
     assert extract_curves(state, [], 8) == []
     with pytest.raises(SeriesError, match="final window"):
@@ -353,7 +351,7 @@ def test_extract_curves_matches_one_curve_at_a_time(run, request):
 
 
 def test_full_omega_window_drops_the_window_edge():
-    # omega_window 1 reaches |omega| = r^2, which extract_curve rejects
+    # omega_window 1 reaches |omega| = r^2, which extract_curves rejects
     cfg = RunConfig.from_dict(dict(FIXTURES["cubic"], omega_window=1))
     state, record, curves = run_pipeline(cfg)
     picked, _ = select_omegas(state, cfg.omega_count, cfg.omega_window)
@@ -361,7 +359,7 @@ def test_full_omega_window_drops_the_window_edge():
     assert len(edge) == 2 and len(curves) == len(picked) - 2 == 16
     for w in edge:
         with pytest.raises(SeriesError, match="final window"):
-            extract_curve(state, w, cfg.n_curve_points)
+            extract_curves(state, [w], cfg.n_curve_points)
     assert_same_curves(curves, [lone_curve(state, c.omega, cfg.n_curve_points)
                                 for c in curves])
 
@@ -373,33 +371,6 @@ def test_cubic_curves_conjugacy(cubic_run):
     for c in curves:
         assert c.rho_equivariance_residual <= 1e-9
         assert c.in_window(state.lam0)
-
-
-def test_smoothness_linear_family():
-    results = [CurveResult(w, 1.234, 0, 0, 0) for w in (0.01, 0.02, 0.03, 0.04)]
-    diag = smoothness_diagnostic(results)
-    assert all(abs(v) < 1e-12 for v in diag["orders"][1])
-
-
-def test_smoothness_affine_family():
-    lam = 1.7
-    results = [CurveResult(w, lam + w, 0, 0, 0) for w in (0.01, 0.02, 0.035, 0.04)]
-    diag = smoothness_diagnostic(results)
-    assert all(v == pytest.approx(1.0, rel=1e-9) for v in diag["orders"][1])
-    assert diag["lipschitz_estimate"] == pytest.approx(1.0, rel=1e-9)
-
-
-def test_smoothness_desk_family(cubic_run):
-    state, record, curves = cubic_run
-    diag = smoothness_diagnostic(curves)
-    assert diag["lipschitz_estimate"] < 10.0
-    assert "no Whitney-norm claim" in diag["label"]
-
-
-def test_smoothness_rejects_duplicates():
-    results = [CurveResult(0.01, 1.0, 0, 0, 0), CurveResult(0.01, 1.1, 0, 0, 0)]
-    with pytest.raises(SeriesError):
-        smoothness_diagnostic(results)
 
 
 # ---------------------------------------------------------------------------
@@ -430,9 +401,10 @@ def test_cli_has_no_mode_flag(tmp_path, capsys):
     assert "unrecognized arguments: --mode" in capsys.readouterr().err
 
 
-def test_cli_missing_config(tmp_path):
+def test_cli_missing_config(tmp_path, capsys):
     code = run_cli(["iterate", "--out", str(tmp_path / "o")])
     assert code == 3
+    assert "config: no --config path or --seed-fixture given" in capsys.readouterr().err
 
 
 def test_cli_unknown_fixture(tmp_path):
@@ -449,13 +421,16 @@ def test_cli_build(tmp_path):
     assert data["involution_residual"] < 1e-9
 
 
-def test_cli_env_config(tmp_path, monkeypatch):
+def test_cli_env_config(tmp_path, monkeypatch, capsys):
+    # the configuration comes from --config or --seed-fixture only, never
+    # from the environment
     cfgp = tmp_path / "cfg.json"
     cfgp.write_text(json.dumps(dict(FIXTURES["cubic"])))
     monkeypatch.setenv("KAM_CONFIG", str(cfgp))
     code = run_cli(["prenorm", "--out", str(tmp_path / "o")])
-    assert code == 0
-    assert (tmp_path / "o" / "prenorm_report.json").exists()
+    assert code == 3
+    assert "config: no --config path or --seed-fixture given" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_iterate_outputs(tmp_path):
@@ -501,8 +476,20 @@ def test_cli_iterate_outputs(tmp_path):
     plots = sorted((out / "plotdata").iterdir())
     assert len(plots) == len(report["curves"])
     assert [r["re_x"] for r in _csv_rows(plots[-1])] == [r["re_x"] for r in samples[-64:]]
+    assert "smoothness" not in report
     # the report subcommand reads the run report back
     assert run_cli(["report", "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"status": ', "invalid JSON"), ("[1, 2]", "must be a JSON object"),
+], ids=["truncated", "not-an-object"])
+def test_cli_report_on_a_malformed_run_report(tmp_path, capsys, text, message):
+    (tmp_path / "run_report.json").write_text(text)
+    assert run_cli(["report", "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert f"configuration error: {tmp_path / 'run_report.json'}: " in err
+    assert message in err
 
 
 def _csv_rows(path):
@@ -591,10 +578,13 @@ def test_cli_malformed_config_blocks(tmp_path, capsys, text, code, message):
         ({"n_curve_points": [64]}, "n_curve_points: must be an integer, got [64]"),
         ({"omega_window": "0.9"}, "omega_window: must be a real number, got '0.9'"),
         ({"convergence_floor": False}, "convergence_floor: must be a real number, got False"),
+        ({"N": -1, "degree": None}, "N: must be positive, got -1"),
+        ({"N": 0, "degree": None}, "N: must be positive, got 0"),
+        ({"s_hint": 0, "N": None, "degree": None}, "s_hint: must be positive, got 0"),
     ],
     ids=["N-float", "max_nu-str", "degree-float", "s_hint-bool", "omega_count-float",
          "n_curve_points-list", "omega_window-str",
-         "convergence_floor-bool"],
+         "convergence_floor-bool", "N-negative", "N-zero", "s_hint-zero"],
 )
 def test_cli_rejects_mistyped_numeric_fields(tmp_path, capsys, fields, message):
     cfgp = tmp_path / "cfg.json"

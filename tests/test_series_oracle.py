@@ -197,7 +197,7 @@ def full_degree_substitute(h: CrownSeries, X: CrownSeries, Y: CrownSeries) -> Cr
     """h(X, Y) by Horner in X with every accumulator at the full degree D;
     the rows sum_n a_mn Y^n come from one product with the stacked powers."""
     D = h.trunc_total
-    ypow = [CrownSeries.constant(1.0, D), Y]
+    ypow = [CrownSeries.monomial(0, 0, D, 1.0), Y]
     for _ in range(D - 1):
         ypow.append(multiply(ypow[-1], Y))
     table = np.stack([p.coeffs.ravel() for p in ypow[: D + 1]])
@@ -532,7 +532,7 @@ def test_results_are_fresh_and_read_only():
     before = [op.coeffs.copy() for op in operands]
     results = [
         a + b, a - b, a + a, -a, a * 2.5, 2.5 * a, a * (1 - 2j), a + 1.0, a - 1.0,
-        a.conj(), a.swap(), multiply(a, b), multiply(a, a), a.substitute(X, Y),
+        a.conj(), multiply(a, b), multiply(a, a), a.substitute(X, Y),
         *substitute_pair((a, b), (X, Y)),
     ]
     for r in results:

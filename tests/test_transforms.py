@@ -81,7 +81,7 @@ def test_degree_pins():
     D = 12
     assert CrownSeries.zero(D).degree() == -1
     assert (-CrownSeries.zero(D)).degree() == D
-    assert CrownSeries.constant(2.0, D).degree() == 0
+    assert CrownSeries.monomial(0, 0, D, 2.0).degree() == 0
     assert CrownSeries.monomial(3, 4, D, 1j).degree() == 7
     assert CrownSeries.monomial(0, D, D).degree() == D
     # a -0.0 in the imaginary part alone counts; a +0.0 does not
