@@ -36,6 +36,8 @@ from .series import (
 from .sieve import IntervalSet
 from .transforms import PolyLink, ScalingLink, poly_link_from_U
 
+# points of each circle |z - omega| = beta in every sampled disk sup of a step
+BOUNDARY_SAMPLES = 64
 # realness bound of the cohomological solution and of alpha_+, relative to
 # max(1, max |coefficient|)
 STEP_REALNESS_TOL = 1e-7
@@ -52,7 +54,7 @@ class StepGeometry:
     truncation-capped floor.
 
     Every sampled sup runs over ``window``, the omega samples with
-    |omega| < r^2 - beta, and ``boundary_samples`` points of each circle; an
+    |omega| < r^2 - beta, and ``BOUNDARY_SAMPLES`` points of each circle; an
     empty window raises, so no check passes with nothing measured.  The
     samples come from ``window_samples``.
     """
@@ -64,7 +66,6 @@ class StepGeometry:
     delta: float
     s: int = 1
     omega_samples: tuple = ()
-    boundary_samples: int = 64
 
     def __post_init__(self):
         if not 0 < self.r_plus < self.r:
@@ -104,11 +105,11 @@ class StepGeometry:
 
     def sup_norm(self, f: CrownSeries, beta: float, r: float) -> float:
         """sup over the omega window of the crown norm at (beta, r)."""
-        return f.crown_norms(self.window(beta, r), beta, r, self.boundary_samples).max()
+        return f.crown_norms(self.window(beta, r), beta, r, BOUNDARY_SAMPLES).max()
 
     def sup_coeff(self, h: CoeffSeries, beta: float, r: float) -> float:
         """sup over the omega window at (beta, r) of the disk max of h."""
-        return h.disk_max(self.window(beta, r), beta, self.boundary_samples)
+        return h.disk_max(self.window(beta, r), beta, BOUNDARY_SAMPLES)
 
 
 def window_samples(O: IntervalSet, lim: float) -> tuple:
@@ -171,7 +172,7 @@ def divisor_minimum(
     inversions at z = 0, so a resonance there degrades the representation
     even when every sampled omega is clear of it.
     """
-    avals = alpha.eval(_circle(tuple(geom.omega_samples) + (0.0,), beta, geom.boundary_samples))
+    avals = alpha.eval(_circle(tuple(geom.omega_samples) + (0.0,), beta, BOUNDARY_SAMPLES))
     ns = 1j * np.arange(1, n_max + 1)[:, None, None]
     return float(np.min(np.abs(np.exp(ns * avals) - 1.0), initial=np.inf))
 
@@ -330,9 +331,7 @@ def conjugate_step(t: InvolutionPair, uv: MapPair) -> IntermediatePair:
     return IntermediatePair(t.alpha, A, T, phi)
 
 
-def crown_escape_margin(
-    phi: PolyLink, geom: StepGeometry, n_boundary: int = 24
-) -> float:
+def crown_escape_margin(phi: PolyLink, geom: StepGeometry) -> float:
     """How far phi(C^{r+}_{omega,beta+}) stays inside C^{r}_{omega,beta}.
 
     Samples boundary points of the smaller crown over the omega window at
@@ -341,7 +340,7 @@ def crown_escape_margin(
     hi = geom.r_plus * 0.98
     ws = np.array(geom.window(geom.beta_plus, geom.r_plus))
     boundary = np.exp(1j * np.linspace(0, 2 * np.pi, 6, endpoint=False))
-    turns = np.exp(1j * np.linspace(0, 2 * np.pi, n_boundary, endpoint=False))
+    turns = np.exp(1j * np.linspace(0, 2 * np.pi, 24, endpoint=False))
     # grid axes: omega, boundary point, modulus, argument
     z = ws[:, None] + geom.beta_plus * boundary
     lo = np.abs(z) / hi
@@ -486,7 +485,7 @@ def main_step(
     report.add("p_norm_in", p_norm, eps / 10.0)
     report.add("q_norm_in", q_norm, eps / 10.0)
     np_check = CrownNormParams(
-        geom.window(geom.beta, geom.r)[0], geom.beta, geom.r, geom.boundary_samples
+        geom.window(geom.beta, geom.r)[0], geom.beta, geom.r, BOUNDARY_SAMPLES
     )
     report.add("involution_residual_in", t.involution_residual(np_check), 1e-9)
 

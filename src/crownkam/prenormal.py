@@ -116,7 +116,7 @@ def poincare_dulac(t: InvolutionPair, N: int) -> tuple[InvolutionPair, list, dic
     return pair, chain, report
 
 
-def nonresonant_scan(pair: InvolutionPair, order_below: int, tol: float = 1e-11) -> float:
+def nonresonant_scan(pair: InvolutionPair, order_below: int) -> float:
     """Largest non-resonant |coefficient| of (p, q) below the given order."""
     worst = 0.0
     scale = max(1.0, pair.p.max_abs_coeff(), pair.q.max_abs_coeff())
@@ -173,14 +173,12 @@ def realform_scaling(t: InvolutionPair, N: int) -> tuple[InvolutionPair, Scaling
     return pair, link, report
 
 
-def detect_nondegeneracy(
-    alpha_tilde: CoeffSeries, degeneracy_tol: float = DEGENERACY_TOL
-):
-    """Smallest index s >= 1 with |coefficient| above tolerance, plus the
+def detect_nondegeneracy(alpha_tilde: CoeffSeries):
+    """Smallest index s >= 1 with |coefficient| above DEGENERACY_TOL, plus the
     radial rescale making |that coefficient| equal 1; 'degenerate' if none."""
     for s in range(1, alpha_tilde.trunc_z + 1):
         c = abs(complex(alpha_tilde.coeffs[s]))
-        if c > degeneracy_tol:
+        if c > DEGENERACY_TOL:
             return s, float(c ** (-1.0 / (2 * s)))
     return "degenerate"
 

@@ -7,8 +7,10 @@ The pipeline is
       -> [case 2: one preliminary step] -> iterate main steps with resonance
       excision -> per-omega conjugacy extraction.
 
-Reports are deterministic: identical configs produce byte-identical JSON and
-CSV outputs (no clocks, no global RNG).
+``iterate`` writes each number once: ``run_report.json`` holds every measured
+quantity and bound, ``curves.csv`` the curve samples and ``hyperbolas.csv``
+their surface images.  Reports are deterministic: identical configs produce
+byte-identical JSON and CSV outputs (no clocks, no global RNG).
 """
 
 from __future__ import annotations
@@ -51,10 +53,12 @@ from .sieve import (
 from .transforms import chain_apply, chain_realness_defect
 
 CONVERGENCE_FLOOR = 1e-13
-# numeric RunConfig fields: an int field takes an int, a float field an int or a float
-NUMERIC_FIELDS = dict.fromkeys(("s_hint", "degree", "N", "max_nu", "omega_count",
-                                "n_curve_points"), int)
-NUMERIC_FIELDS.update(omega_window=float, convergence_floor=float)
+# the curves' largest |omega| as a fraction of the final window r^2; below 1,
+# so every pick lies inside the window that extract_curves requires
+OMEGA_WINDOW = 0.9
+N_CURVE_POINTS = 64
+# the numeric RunConfig fields, each a JSON integer
+INT_FIELDS = ("s_hint", "degree", "N", "max_nu", "omega_count")
 
 
 class ConfigError(ValueError):
@@ -75,9 +79,6 @@ class RunConfig:
     N: int | None = None
     max_nu: int = 3
     omega_count: int = 9
-    omega_window: float = 0.9
-    n_curve_points: int = 64
-    convergence_floor: float = CONVERGENCE_FLOOR
     out_dir: str = "out"
 
     def __post_init__(self):
@@ -88,14 +89,13 @@ class RunConfig:
         for name in ("surface", "direct"):
             if getattr(self, name) is not None:
                 _require_object(getattr(self, name), name)
-        for name, kind in NUMERIC_FIELDS.items():
+        for name in INT_FIELDS:
             value = getattr(self, name)
             if value is None and name in ("degree", "N"):
                 continue
-            if isinstance(value, bool) or not isinstance(value, (int, kind)):
-                noun = "an integer" if kind is int else "a real number"
-                raise ConfigError(f"{name}: must be {noun}, got {value!r}")
-        for name in ("s_hint", "N", "max_nu", "omega_count", "n_curve_points"):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name}: must be an integer, got {value!r}")
+        for name in ("s_hint", "N", "max_nu", "omega_count"):
             value = getattr(self, name)
             if value is not None and value <= 0:
                 raise ConfigError(f"{name}: must be positive, got {value!r}")
@@ -107,10 +107,6 @@ class RunConfig:
             raise ConfigError(
                 f"degree: need degree >= 2(2N+2) = {2 * (2 * self.N + 2)}, got {self.degree}"
             )
-        if not 0 < self.omega_window <= 1:
-            raise ConfigError("omega_window: must lie in (0, 1]")
-        if self.convergence_floor <= 0:
-            raise ConfigError("convergence_floor: must be positive")
 
     @staticmethod
     def from_dict(data: dict) -> "RunConfig":
@@ -327,7 +323,7 @@ def iterate(state: KamState, config: RunConfig) -> KamState:
         r_next = sch.r[nu + 1]
         beta_nu = practical_beta(state.eps_measured[-1], s, r_nu)
         eps_nu = max(state.eps_measured[-1], 1e-300)
-        if eps_nu < config.convergence_floor or state.skew_measured[-1] < config.convergence_floor:
+        if eps_nu < CONVERGENCE_FLOOR or state.skew_measured[-1] < CONVERGENCE_FLOOR:
             state.status = "converged-to-truncation"
             break
         g0 = StepGeometry(r_nu, r_next, beta_nu, eps=eps_nu, delta=1.0, s=s,
@@ -350,6 +346,7 @@ def iterate(state: KamState, config: RunConfig) -> KamState:
                 "surviving_measure": O_next.measure(),
                 "excluded_measure": mes["measured"],
                 "paper_bound_mes": mes["paper_bound_mes"],
+                "paper_bound_pyartli": resonance_zone_bound(s, delta, K_cut),
                 "bound_vacuous": mes["bound_vacuous"],
                 "delta": delta,
                 "K": K_cut,
@@ -386,7 +383,6 @@ class CurveResult:
     mu_omega: float
     conjugacy_residual: float
     rho_equivariance_residual: float
-    chain_tail: float
     samples: list = field(default_factory=list)  # rows [re_xi, im_xi, re_x, im_x, re_y, im_y]
 
     def in_window(self, lam: float) -> bool:
@@ -433,13 +429,9 @@ def extract_curves(state: KamState, omegas, n_pts: int) -> list[CurveResult]:
                        np.max(np.abs(sigma2.eval(X[0], Y[0]) - Y[1]), axis=1))
     rho_resid = np.maximum(np.max(np.abs(X[2] - np.conj(X[0])), axis=1),
                            np.max(np.abs(Y[2] - np.conj(Y[0])), axis=1))
-    tail = 0.0
-    if len(state.eps_measured) >= 2 and state.eps_measured[-2] > 0:
-        ratio = min(0.5, state.eps_measured[-1] / state.eps_measured[-2])
-        tail = state.eps_measured[-1] ** 0.8 * ratio / max(1e-300, 1.0 - ratio)
     samples = np.stack([x0s[0].real, x0s[0].imag, X[0].real, X[0].imag, Y[0].real, Y[0].imag],
                        axis=-1)
-    return [CurveResult(omega, mu, float(res), float(rho), tail, rows.tolist())
+    return [CurveResult(omega, mu, float(res), float(rho), rows.tolist())
             for omega, mu, res, rho, rows in zip(omegas, mus, resid, rho_resid, samples)]
 
 
@@ -468,76 +460,35 @@ def _write_csv(path: str, header: list, rows) -> None:
     """
     with open(path, "w", newline="") as fh:
         for row in itertools.chain([header], rows):
-            try:
-                line = ",".join(row)  # every cell already text
-            except TypeError:
-                if None in row:
-                    raise ValueError(f"{path}: a None cell in {row!r}") from None
-                line = ",".join([float.__repr__(v) if isinstance(v, float) else str(v) for v in row])
+            if None in row:
+                raise ValueError(f"{path}: a None cell in {row!r}")
+            line = ",".join([float.__repr__(v) if isinstance(v, float) else str(v) for v in row])
             if (line.count(",") != max(len(row) - 1, 0) or '"' in line or "\r" in line
                     or "\n" in line or line == "" and len(row) == 1):
                 raise ValueError(f"{path}: a cell that csv would quote in {row!r}")
             fh.write(line + "\r\n")
 
 
-def write_steps_csv(path: str, state: KamState) -> None:
-    """One row per recorded nu; step-report columns where a step ran."""
-    rows = []
-    for nu, (eps, skew) in enumerate(zip(state.eps_measured, state.skew_measured)):
-        rep = state.history[nu] if nu < len(state.history) else None
-        step = ["", "", "", ""] if rep is None else [
-            rep["entries"]["p_plus_norm"]["bound"], rep["entries"]["skew_plus"]["bound"],
-            rep["practical"]["contraction"]["pass"],
-            rep["practical"]["skew_contraction"]["pass"],
-        ]
-        rows.append([nu, eps, skew] + step)
-    _write_csv(path, ["nu", "eps_measured", "skew_measured", "p_plus_bound", "skew_plus_bound",
-                      "contraction_pass", "skew_contraction_pass"], rows)
-
-
-def write_sieve_csv(path: str, state: KamState) -> None:
-    _write_csv(path, ["nu", "surviving_measure", "excluded_measure", "paper_bound_mes",
-                      "paper_bound_pyartli", "bound_vacuous"], [
-        [row["nu"], row["surviving_measure"], row["excluded_measure"], row["paper_bound_mes"],
-         resonance_zone_bound(state.pair.s_order, row["delta"], row["K"]), row["bound_vacuous"]]
-        for row in state.sieve_rows
-    ])
-
-
 def write_curves_csv(out_dir: str, curves: list[CurveResult], hyperbolas: list[dict]) -> None:
-    """The per-curve tables: summary, samples, one plot file per curve, and
-    the surface images of the hyperbolas when there are any."""
-    _write_csv(os.path.join(out_dir, "curves_summary.csv"),
-               ["omega", "mu_omega", "conjugacy_residual", "rho_residual", "chain_tail"],
-               [[c.omega, c.mu_omega, c.conjugacy_residual, c.rho_equivariance_residual,
-                 c.chain_tail] for c in curves])
-    plot_dir = os.path.join(out_dir, "plotdata")
-    os.makedirs(plot_dir, exist_ok=True)
-
-    def sample_rows():
-        # one curve's samples at a time, formatted once for its plot file and curves.csv
-        for i, c in enumerate(curves):
-            omega, cells = repr(float(c.omega)), [list(map(repr, row)) for row in c.samples]
-            _write_csv(os.path.join(plot_dir, f"curve_{i:03d}.csv"),
-                       ["re_x", "im_x", "re_y", "im_y"], [row[2:] for row in cells])
-            yield from ([omega] + row for row in cells)
-
+    """``curves.csv``, one row per curve sample, and ``hyperbolas.csv``, the
+    surface images of the hyperbolas, when there are any."""
     _write_csv(os.path.join(out_dir, "curves.csv"),
-               ["omega", "re_xi", "im_xi", "re_x", "im_x", "re_y", "im_y"], sample_rows())
+               ["omega", "re_xi", "im_xi", "re_x", "im_x", "re_y", "im_y"],
+               ([c.omega] + row for c in curves for row in c.samples))
     if hyperbolas:
         cols = ["omega", "arg_index", "re_z1", "im_z1", "re_z2", "im_z2", "is_real_branch"]
         _write_csv(os.path.join(out_dir, "hyperbolas.csv"), cols,
                    [[h[k] for k in cols] for h in hyperbolas])
 
 
-def select_omegas(state: KamState, count: int, window: float) -> tuple[list, list]:
+def select_omegas(state: KamState, count: int) -> tuple[list, list]:
     """Log-spaced |omega| of both signs inside the surviving set.
 
     Excluded samples are reported together with the resonance order whose
     divisor is smallest there (the order that excised them).
     """
     R2 = state.r**2
-    mags = np.exp(np.linspace(np.log(1e-4 * R2), np.log(window * R2), count))
+    mags = np.exp(np.linspace(np.log(1e-4 * R2), np.log(OMEGA_WINDOW * R2), count))
     n_top = max((row["K"] + 1 for row in state.sieve_rows), default=13)
     picked = []
     excluded = []
@@ -572,17 +523,20 @@ def run_pipeline(config: RunConfig) -> tuple[KamState, dict, list]:
         "prelim_links": [l.label for l in state.prelim_chain],
         "step_links": [[l.label for l in links] for links in state.chain],
     }
-    picked, excluded = select_omegas(state, config.omega_count, config.omega_window)
-    # select_omegas picks only surviving omegas; the final window drops the rest
-    curves = extract_curves(state, [w for w in picked if abs(w) < state.r**2],
-                            config.n_curve_points)
+    # a geometric estimate of the chain's truncation tail from the last two eps
+    eps, tail = state.eps_measured, 0.0
+    if len(eps) >= 2 and eps[-2] > 0:
+        ratio = min(0.5, eps[-1] / eps[-2])
+        tail = eps[-1] ** 0.8 * ratio / max(1e-300, 1.0 - ratio)
+    record["chain_tail"] = tail
+    picked, excluded = select_omegas(state, config.omega_count)
+    curves = extract_curves(state, picked, N_CURVE_POINTS)
     record["curves"] = [
         {
             "omega": c.omega,
             "mu_omega": c.mu_omega,
             "conjugacy_residual": c.conjugacy_residual,
             "rho_residual": c.rho_equivariance_residual,
-            "chain_tail": c.chain_tail,
             "mu_in_window": c.in_window(state.lam0),
         }
         for c in curves
@@ -671,8 +625,6 @@ def _load_config(args) -> RunConfig:
         if not args.config:
             raise ConfigError("config: no --config path or --seed-fixture given")
         data = _read_json_object(args.config, "config")
-    if args.max_nu is not None:
-        data["max_nu"] = args.max_nu
     if args.degree is not None:
         data["degree"] = args.degree
     if args.out:
@@ -689,7 +641,6 @@ def run_cli(argv=None) -> int:
         "build", "prenorm", "iterate", "verify", "report"
     ])
     parser.add_argument("--config", default=None)
-    parser.add_argument("--max-nu", type=int, default=None, dest="max_nu")
     parser.add_argument("--degree", type=int, default=None)
     parser.add_argument("--out", default=None)
     parser.add_argument("--seed-fixture", default=None, dest="seed_fixture")
@@ -698,16 +649,15 @@ def run_cli(argv=None) -> int:
     try:
         if args.command == "report":
             path = os.path.join(args.out or "out", "run_report.json")
-            _print_summary(_read_json_object(path, path))
+            _print_summary(_read_json_object(path, path), path)
             return 0
         if args.command == "verify":
             out_dir = args.out or "out"
             os.makedirs(out_dir, exist_ok=True)
             report = verify_suite(out_dir)
-            write_json(os.path.join(out_dir, "run_report.json"), report)
-            print("verify:", "PASS" if report["pass"] else "FAIL")
-            for name, entry in report["checks"].items():
-                print(f"  {name}: {'pass' if entry['pass'] else 'FAIL'}")
+            path = os.path.join(out_dir, "run_report.json")
+            write_json(path, report)
+            _print_summary(report, path)
             return 0 if report["pass"] else 2
         config = _load_config(args)
     except (ConfigError, FileNotFoundError) as e:
@@ -737,15 +687,14 @@ def run_cli(argv=None) -> int:
             return 0
         if args.command == "iterate":
             state, record, curves = run_pipeline(config)
-            write_json(os.path.join(config.out_dir, "run_report.json"), record)
-            write_steps_csv(os.path.join(config.out_dir, "steps.csv"), state)
-            write_sieve_csv(os.path.join(config.out_dir, "sieve.csv"), state)
+            path = os.path.join(config.out_dir, "run_report.json")
+            write_json(path, record)
             hyperbolas = []
             if state.surface is not None:
                 hyperbolas = hyperbola_image(full_chain(state), [c.omega for c in curves[:4]],
                                              state.r, 5, state.surface, state.frame)
             write_curves_csv(config.out_dir, curves, hyperbolas)
-            _print_summary(record)
+            _print_summary(record, path)
             failed = state.status.startswith("step-failed") or state.status == "empty-parameter-set"
             return 2 if failed else 0
     except ConfigError as e:
@@ -757,8 +706,17 @@ def run_cli(argv=None) -> int:
     return 3
 
 
-def _print_summary(record: dict) -> None:
-    print("status:", record.get("status", "?"))
+def _print_summary(record: dict, path: str) -> None:
+    """Print a ``verify`` report (it has ``checks``) or a run report (it has
+    ``status``); any other object raises ConfigError naming the file."""
+    if "checks" in record:
+        print("verify:", "PASS" if record.get("pass") else "FAIL")
+        for name, entry in record["checks"].items():
+            print(f"  {name}: {'pass' if entry['pass'] else 'FAIL'}")
+        return
+    if "status" not in record:
+        raise ConfigError(f"{path}: neither a run report (status) nor a verify report (checks)")
+    print("status:", record["status"])
     eps = record.get("eps_measured", [])
     if eps:
         print("eps:", " -> ".join(f"{e:.3e}" for e in eps))

@@ -190,24 +190,21 @@ def measure_excluded(
     O_before: IntervalSet,
     O_after: IntervalSet,
     window: tuple[float, float],
-    eps_nu: float = None,
-    s: int = 1,
+    eps_nu: float,
+    s: int,
 ) -> dict:
     """Measure of (O_before \\ O_after) inside the window, with the two
-    schedule bounds evaluated at eps_nu when given."""
+    schedule bounds evaluated at eps_nu."""
     if not O_after.is_subset_of(O_before):
         raise SeriesError("O_after must be contained in O_before")
     win = IntervalSet.interval(*window)
     measured = O_before.subtract(O_after).intersect(win).measure()
     out = {"measured": measured, "window": list(window)}
-    if eps_nu is not None:
-        out["paper_bound_mes"] = eps_nu ** (1.0 / (100.0 * s * s))
-        out["paper_bound_intermediate"] = eps_nu ** (1.0 / (80.0 * s * s))
-        wlen = window[1] - window[0]
-        out["bound_vacuous"] = bool(out["paper_bound_mes"] >= wlen)
-        out["pass"] = bool(
-            out["bound_vacuous"] or measured <= out["paper_bound_mes"]
-        )
+    out["paper_bound_mes"] = eps_nu ** (1.0 / (100.0 * s * s))
+    out["paper_bound_intermediate"] = eps_nu ** (1.0 / (80.0 * s * s))
+    wlen = window[1] - window[0]
+    out["bound_vacuous"] = bool(out["paper_bound_mes"] >= wlen)
+    out["pass"] = bool(out["bound_vacuous"] or measured <= out["paper_bound_mes"])
     return out
 
 

@@ -14,6 +14,7 @@ from crownkam.involution import (
     synthesize_pair,
 )
 from crownkam.kamstep import (
+    BOUNDARY_SAMPLES,
     StepGeometry,
     conjugate_step,
     crown_escape_margin,
@@ -495,7 +496,7 @@ def test_window_sups_equal_the_one_omega_maximum(beta, n_samples):
     # every power of z counts: the coefficients grow like the window's 1/|z|
     c = np.random.default_rng(8).standard_normal((7, 2)) @ [1.0, 1j]
     h = CoeffSeries(c * 50.0 ** np.arange(7))
-    ws, n = geom.window(beta, geom.r), geom.boundary_samples
+    ws, n = geom.window(beta, geom.r), BOUNDARY_SAMPLES
     assert len(ws) == n_samples
     rng = np.random.default_rng(9)
     for f in [t.p] + [CrownSeries(rng.standard_normal((Dn + 1, Dn + 1)) * 1e-3, Dn)
@@ -517,7 +518,7 @@ def test_divisor_minimum_equals_the_one_omega_minimum(beta, n_samples):
     geom = dataclasses.replace(geom, omega_samples=geom.omega_samples[:n_samples])
     want = np.inf
     for w in geom.omega_samples + (0.0,):
-        avals = alpha.eval(lone_circle(w, beta, geom.boundary_samples))
+        avals = alpha.eval(lone_circle(w, beta, BOUNDARY_SAMPLES))
         for k in range(1, 14):
             want = min(want, float(np.min(np.abs(np.exp(1j * k * avals) - 1.0))))
     assert divisor_minimum(alpha, geom, 13, beta) == want

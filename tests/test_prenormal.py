@@ -190,7 +190,7 @@ def test_detect_degenerate():
 
 def test_detect_thresholding():
     h = CoeffSeries(np.array([0.0, 1e-18, 0.3]))
-    s, resc = detect_nondegeneracy(h, degeneracy_tol=1e-12)
+    s, resc = detect_nondegeneracy(h)
     assert s == 2
     assert resc == pytest.approx(0.3 ** (-1 / 4))
 

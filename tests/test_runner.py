@@ -20,9 +20,9 @@ from crownkam.runner import (
     prepare,
     run_cli,
     run_pipeline,
-    select_omegas,
 )
 from crownkam.series import SeriesError
+from crownkam.sieve import resonance_zone_bound
 from crownkam.transforms import chain_apply
 
 
@@ -308,7 +308,7 @@ def test_extract_curve_rejects_excluded(cubic_run):
 def assert_same_curves(got, want):
     assert len(got) == len(want)
     for g, w in zip(got, want):
-        assert (g.omega, g.mu_omega, g.chain_tail) == (w.omega, w.mu_omega, w.chain_tail)
+        assert (g.omega, g.mu_omega) == (w.omega, w.mu_omega)
         assert g.conjugacy_residual == w.conjugacy_residual
         assert g.rho_equivariance_residual == w.rho_equivariance_residual
         assert np.array(g.samples).tobytes() == np.array(w.samples).tobytes()
@@ -332,8 +332,7 @@ def lone_curve(state, omega, n_pts):
                       np.max(np.abs(sigma2.eval(X, Y) - Yr))))
     rho = float(max(np.max(np.abs(Xc - np.conj(X))), np.max(np.abs(Yc - np.conj(Y)))))
     samples = np.column_stack([x0.real, x0.imag, X.real, X.imag, Y.real, Y.imag]).tolist()
-    tail = extract_curves(state, [omega], n_pts)[0].chain_tail
-    return CurveResult(omega, mu, resid, rho, tail, samples)
+    return CurveResult(omega, mu, resid, rho, samples)
 
 
 @pytest.mark.parametrize("run", ["linear_run", "cubic_run"])
@@ -348,20 +347,6 @@ def test_extract_curves_matches_one_curve_at_a_time(run, request):
     assert extract_curves(state, [], 8) == []
     with pytest.raises(SeriesError, match="final window"):
         extract_curves(state, omegas + [state.r**2], 8)
-
-
-def test_full_omega_window_drops_the_window_edge():
-    # omega_window 1 reaches |omega| = r^2, which extract_curves rejects
-    cfg = RunConfig.from_dict(dict(FIXTURES["cubic"], omega_window=1))
-    state, record, curves = run_pipeline(cfg)
-    picked, _ = select_omegas(state, cfg.omega_count, cfg.omega_window)
-    edge = [w for w in picked if abs(w) >= state.r**2]
-    assert len(edge) == 2 and len(curves) == len(picked) - 2 == 16
-    for w in edge:
-        with pytest.raises(SeriesError, match="final window"):
-            extract_curves(state, [w], cfg.n_curve_points)
-    assert_same_curves(curves, [lone_curve(state, c.omega, cfg.n_curve_points)
-                                for c in curves])
 
 
 def test_cubic_curves_conjugacy(cubic_run):
@@ -385,7 +370,10 @@ def test_cli_malformed_config(tmp_path):
     assert code == 3
 
 
-@pytest.mark.parametrize("name, value", [("mode", "rigorous"), ("boundary_samples", 64)])
+@pytest.mark.parametrize("name, value", [
+    ("mode", "rigorous"), ("boundary_samples", 64), ("omega_window", 0.9),
+    ("n_curve_points", 64), ("convergence_floor", 1e-13),
+])
 def test_cli_rejects_removed_fields(tmp_path, capsys, name, value):
     cfgp = tmp_path / "cfg.json"
     cfgp.write_text(json.dumps(dict(FIXTURES["linear"], **{name: value})))
@@ -399,6 +387,14 @@ def test_cli_has_no_mode_flag(tmp_path, capsys):
                  "--out", str(tmp_path / "o")])
     assert exc.value.code == 2
     assert "unrecognized arguments: --mode" in capsys.readouterr().err
+
+
+def test_cli_has_no_max_nu_flag(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["iterate", "--seed-fixture", "cubic", "--max-nu", "3",
+                 "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --max-nu" in capsys.readouterr().err
 
 
 def test_cli_missing_config(tmp_path, capsys):
@@ -435,55 +431,48 @@ def test_cli_env_config(tmp_path, monkeypatch, capsys):
 
 def test_cli_iterate_outputs(tmp_path):
     out = tmp_path / "o"
-    code = run_cli(["iterate", "--seed-fixture", "cubic", "--max-nu", "3",
-                    "--out", str(out)])
-    assert code == 0
-    rows = (out / "steps.csv").read_text().strip().splitlines()
-    assert len(rows) - 1 == 3  # one per recorded nu
-    eps_col = [float(r.split(",")[1]) for r in rows[1:]]
-    assert all(b < a for a, b in zip(eps_col, eps_col[1:]))
-    assert (out / "run_report.json").exists()
-    assert (out / "sieve.csv").exists()
-    assert (out / "curves_summary.csv").exists()
-    assert (out / "plotdata").is_dir()
+    assert run_cli(["iterate", "--seed-fixture", "cubic", "--out", str(out)]) == 0
+    # each number is written once: the report, the curve samples, the surface images
+    assert sorted(p.name for p in out.iterdir()) == [
+        "curves.csv", "hyperbolas.csv", "run_report.json"]
     hyp = (out / "hyperbolas.csv").read_text().splitlines()
     assert hyp[0] == "omega,arg_index,re_z1,im_z1,re_z2,im_z2,is_real_branch"
-    # every float cell reads back exactly as the report's value of that name
-    report = json.loads((out / "run_report.json").read_text())
-    steps = _csv_rows(out / "steps.csv")
-    for nu, row in enumerate(steps):
-        assert float(row["eps_measured"]) == report["eps_measured"][nu]
-        assert float(row["skew_measured"]) == report["skew_measured"][nu]
-        if nu < len(report["steps"]):
-            entries = report["steps"][nu]["entries"]
-            assert float(row["p_plus_bound"]) == entries["p_plus_norm"]["bound"]
-            assert float(row["skew_plus_bound"]) == entries["skew_plus"]["bound"]
-    assert steps[-1]["p_plus_bound"] == steps[-1]["contraction_pass"] == ""
-    sieve = _csv_rows(out / "sieve.csv")
-    assert len(sieve) == len(report["sieve"])
-    for row, rec in zip(sieve, report["sieve"]):
-        for name in ("surviving_measure", "excluded_measure", "paper_bound_mes"):
-            assert float(row[name]) == rec[name]
-    summary = _csv_rows(out / "curves_summary.csv")
-    assert len(summary) == len(report["curves"]) >= 2
-    for row, rec in zip(summary, report["curves"]):
-        for name in ("omega", "mu_omega", "conjugacy_residual", "rho_residual", "chain_tail"):
-            assert float(row[name]) == rec[name]
-    # one curves.csv row per sample, one plotdata file per curve
+    text = (out / "run_report.json").read_text()
+    report = json.loads(text)
+    eps = report["eps_measured"]
+    assert len(eps) == 3  # one per recorded nu
+    assert all(b < a for a, b in zip(eps, eps[1:]))
+    # each sieve row carries the Pyartli bound at its own delta and K
+    s = report["prenormalization"]["nondegeneracy"]["s"]
+    assert len(report["sieve"]) >= 1
+    for row in report["sieve"]:
+        assert row["paper_bound_pyartli"] == resonance_zone_bound(s, row["delta"], row["K"])
+    # the chain tail is one run-level number
+    assert text.count('"chain_tail"') == 1 and report["chain_tail"] > 0
+    # one curves.csv row per sample; the omega cells read back as the report's omegas
     samples = _csv_rows(out / "curves.csv")
+    assert len(report["curves"]) >= 2
     assert len(samples) == 64 * len(report["curves"])
     assert [float(r["omega"]) for r in samples[::64]] == [c["omega"] for c in report["curves"]]
-    plots = sorted((out / "plotdata").iterdir())
-    assert len(plots) == len(report["curves"])
-    assert [r["re_x"] for r in _csv_rows(plots[-1])] == [r["re_x"] for r in samples[-64:]]
     assert "smoothness" not in report
     # the report subcommand reads the run report back
     assert run_cli(["report", "--out", str(out)]) == 0
 
 
+def test_cli_report_prints_a_verify_report(tmp_path, capsys):
+    # report reads verify's output through the printer verify itself uses
+    assert run_cli(["verify", "--out", str(tmp_path)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert run_cli(["report", "--out", str(tmp_path)]) == 0
+    reprinted = capsys.readouterr().out.splitlines()
+    assert printed[0] == reprinted[0] == "verify: PASS"
+    assert len(printed) > 1 and sorted(printed) == sorted(reprinted)
+
+
 @pytest.mark.parametrize("text, message", [
     ('{"status": ', "invalid JSON"), ("[1, 2]", "must be a JSON object"),
-], ids=["truncated", "not-an-object"])
+    ('{"eps_measured": [0.1]}', "neither a run report (status) nor a verify report (checks)"),
+], ids=["truncated", "not-an-object", "no-report"])
 def test_cli_report_on_a_malformed_run_report(tmp_path, capsys, text, message):
     (tmp_path / "run_report.json").write_text(text)
     assert run_cli(["report", "--out", str(tmp_path)]) == 3
@@ -575,27 +564,18 @@ def test_cli_malformed_config_blocks(tmp_path, capsys, text, code, message):
         ({"degree": 12.0}, "degree: must be an integer, got 12.0"),
         ({"s_hint": True}, "s_hint: must be an integer, got True"),
         ({"omega_count": 9.0}, "omega_count: must be an integer, got 9.0"),
-        ({"n_curve_points": [64]}, "n_curve_points: must be an integer, got [64]"),
-        ({"omega_window": "0.9"}, "omega_window: must be a real number, got '0.9'"),
-        ({"convergence_floor": False}, "convergence_floor: must be a real number, got False"),
         ({"N": -1, "degree": None}, "N: must be positive, got -1"),
         ({"N": 0, "degree": None}, "N: must be positive, got 0"),
         ({"s_hint": 0, "N": None, "degree": None}, "s_hint: must be positive, got 0"),
     ],
     ids=["N-float", "max_nu-str", "degree-float", "s_hint-bool", "omega_count-float",
-         "n_curve_points-list", "omega_window-str",
-         "convergence_floor-bool", "N-negative", "N-zero", "s_hint-zero"],
+         "N-negative", "N-zero", "s_hint-zero"],
 )
 def test_cli_rejects_mistyped_numeric_fields(tmp_path, capsys, fields, message):
     cfgp = tmp_path / "cfg.json"
     cfgp.write_text(json.dumps(dict({"surface": {"gamma": 0.77}, "N": 2, "degree": 12}, **fields)))
     assert run_cli(["iterate", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 3
     assert f"configuration error: {message}" in capsys.readouterr().err
-
-
-def test_config_accepts_an_int_for_a_real_field():
-    cfg = RunConfig.from_dict(dict(FIXTURES["cubic"], omega_window=1, convergence_floor=1))
-    assert (cfg.omega_window, cfg.convergence_floor) == (1, 1)
 
 
 def test_cli_config_error_in_preparation(tmp_path, capsys):

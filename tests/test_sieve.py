@@ -158,13 +158,13 @@ def test_excise_measure_against_grid_oracle():
 
 def test_measure_excluded_basics():
     O = IntervalSet([(0.0, 1.0)])
-    out = measure_excluded(O, O, (0.0, 1.0))
+    out = measure_excluded(O, O, (0.0, 1.0), 1e-4, 1)
     assert out["measured"] == 0.0
     cut = O.subtract(IntervalSet([(0.1, 0.11), (0.5, 0.51)]))
-    out = measure_excluded(O, cut, (0.0, 1.0))
+    out = measure_excluded(O, cut, (0.0, 1.0), 1e-4, 1)
     assert out["measured"] == pytest.approx(0.02)
     with pytest.raises(SeriesError):
-        measure_excluded(cut, O, (0.0, 1.0))
+        measure_excluded(cut, O, (0.0, 1.0), 1e-4, 1)
 
 
 def test_resonance_zone_bound_dominates():
