@@ -41,8 +41,11 @@ print(f"  perturbation order: {prep.p.order(tol=1e-11)} (>= 2N+2 = {2 * N + 2})"
 print("\n== radius search ==")
 res, _ = radius_search(prep)
 print(f"  r_* = {res.r_star},  A = {res.A:.4e},  branch = {res.branch}")
-print(f"  skew {res.skew_measured:.3e} vs threshold A^(3/2)/3 = {res.skew_threshold:.3e}")
-print(f"  verbatim smallness inequality lhs = {res.rigorous_lhs:.3e} "
-      f"(feasible: {res.rigorous_feasible}; never met in double precision)")
+if res.skew:
+    print(f"  skew {res.skew['measured']:.3e} vs threshold A^(3/2)/3 = {res.skew['bound']:.3e}")
 if res.trial:
-    print(f"  trial step: ||p+|| = {res.trial['p_plus']:.3e} <= A^1.15 = {res.trial['target']:.3e}")
+    c = res.trial["contraction"]
+    print(f"  trial step: ||p+|| = {c['measured']:.3e} <= A^1.15 = {c['bound']:.3e}")
+for name, entry in res.alpha_conditions.items():
+    print(f"  {name}: {entry['measured']:.3e} vs {entry['bound']:.3e} "
+          f"({'pass' if entry['pass'] else 'FAIL'})")

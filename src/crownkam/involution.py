@@ -79,15 +79,6 @@ class InvolutionPair:
             "s_order": self.s_order,
         }
 
-    @staticmethod
-    def from_json(data: dict) -> "InvolutionPair":
-        return InvolutionPair(
-            CoeffSeries.from_json(data["alpha"]).project_real(),
-            CrownSeries.from_json(data["p"]),
-            CrownSeries.from_json(data["q"]),
-            int(data.get("s_order", 1)),
-        )
-
 
 @dataclass(frozen=True)
 class ReversibleMap:

@@ -33,7 +33,7 @@ from .series import (
     scaling_pair,
     substitute_pair,
 )
-from .sieve import IntervalSet
+from .sieve import IntervalSet, bound_entry
 from .transforms import PolyLink, ScalingLink, poly_link_from_U
 
 # points of each circle |z - omega| = beta in every sampled disk sup of a step
@@ -132,11 +132,8 @@ class StepReport:
     practical: dict = field(default_factory=dict)
 
     def add(self, name: str, measured: float, bound: float | None = None):
-        self.entries[name] = (
-            {"measured": measured}
-            if bound is None
-            else {"measured": measured, "bound": bound, "pass": bool(measured <= bound)}
-        )
+        entry = {"measured": measured} if bound is None else bound_entry(measured, bound)
+        self.entries[name] = entry
 
     def to_dict(self) -> dict:
         """The fields by name; the entry dicts are shared, not copied."""
@@ -544,15 +541,7 @@ def main_step(
             0.75 * abs(kpow) * norm_A,
         )
 
-    report.practical["contraction"] = {
-        "measured": p_plus + q_plus,
-        "bound": eps**1.15,
-        "pass": bool(p_plus + q_plus <= eps**1.15),
-    }
-    report.practical["skew_contraction"] = {
-        "measured": skew_plus,
-        "bound": eps**1.4,
-        "pass": bool(skew_plus <= eps**1.4),
-    }
+    report.practical["contraction"] = bound_entry(p_plus + q_plus, eps**1.15)
+    report.practical["skew_contraction"] = bound_entry(skew_plus, eps**1.4)
     report.practical["eps_out"] = 10.0 * max(p_plus, q_plus)
     return t_plus, [a.inter.phi, theta_link], report

@@ -30,7 +30,7 @@ from .series import (
     invert_near_identity,
     substitute_pair,
 )
-from .sieve import IntervalSet, smallness_lhs
+from .sieve import IntervalSet, bound_entry
 from .transforms import RadialLink, ScalingLink, poly_link_from_U
 
 DIVISOR_FLOOR = 1e-8
@@ -210,10 +210,7 @@ class RadiusResult:
     eps0: float
     branch: str  # "case1" | "case2"
     A: float
-    skew_measured: float
-    skew_threshold: float
-    rigorous_feasible: bool
-    rigorous_lhs: float
+    skew: dict | None  # skew against A^{3/2}/3; None when A is at truncation-noise level
     alpha_conditions: dict
     trial: dict | None = None
 
@@ -232,11 +229,10 @@ def radius_search(prepared: InvolutionPair) -> tuple[RadiusResult, StepAlgebra |
     """Shrink r_* until the iteration entry predicate holds, then branch.
 
     r_* is accepted once one trial step contracts the measured perturbation
-    to eps^{1.15}; the verbatim smallness inequality is evaluated and
-    reported but never met at double precision.  The branch test compares
-    the skew term against A^{3/2}/3.  The accepted trial's algebra is
-    returned beside the result (None when no trial ran), for the step that
-    starts from the same pair at the same K.
+    to eps^{1.15} (``trial["contraction"]`` passes).  The branch is case 1
+    exactly when ``skew``, the skew term against A^{3/2}/3, passes.  The
+    accepted trial's algebra is returned beside the result (None when no
+    trial ran), for the step that starts from the same pair at the same K.
     """
     s = prepared.s_order
     lam = float(prepared.alpha.coeffs[0].real)
@@ -244,77 +240,70 @@ def radius_search(prepared: InvolutionPair) -> tuple[RadiusResult, StepAlgebra |
     last_error = None
     for _ in range(MAX_HALVINGS):
         A = 10.0 * max(prepared.p.full_norm(r), prepared.q.full_norm(r))
-        alpha_conditions = _alpha_conditions(prepared.alpha, lam, s, r)
-        # the verbatim inequality of the schedule at eps0 = A^{49/50}, r0 = (3/4) r_*
-        lhs = smallness_lhs(s, 0.75 * r, A ** (49.0 / 50.0)) if A > 0.0 else 0.0
-        rigorous_ok = bool(lhs < 1.0)
+        trial = skew = algebra = None
         if A <= 1e-13:  # perturbation at truncation-noise level: trivially in
-            return RadiusResult(
-                r, A, "case1", A, 0.0, 0.0, rigorous_ok, lhs, alpha_conditions
-            ), None
+            break
         beta = practical_beta(A, s, r)
         omegas = window_samples(IntervalSet.interval(-r * r, r * r), r * r - beta)
         geom = StepGeometry(r, 0.75 * r, beta, eps=A, delta=1.0, s=s, omega_samples=omegas)
         try:
             trial, algebra = _trial_step(prepared, geom)
         except SeriesError as e:
-            trial, last_error = None, str(e)
-        if trial is not None and trial["p_plus"] <= trial["target"]:
-            skew = geom.sup_norm(skew_term(prepared), beta, r)
-            threshold = A**1.5 / 3.0
-            branch = "case1" if skew < threshold else "case2"
-            eps0 = A if branch == "case1" else A ** (49.0 / 50.0)
-            return RadiusResult(
-                r, eps0, branch, A, skew, threshold, rigorous_ok, lhs,
-                alpha_conditions, trial,
-            ), algebra
+            last_error = str(e)
+        if trial is not None and trial["contraction"]["pass"]:
+            skew = bound_entry(geom.sup_norm(skew_term(prepared), beta, r), A**1.5 / 3.0)
+            break
         r *= 0.5
         if r < 1e-7:
             break
-    raise SeriesError(
-        f"radius search underflow: no admissible radius found ({last_error})"
-    )
+    if skew is None and A > 1e-13:  # no radius accepted
+        raise SeriesError(
+            f"radius search underflow: no admissible radius found ({last_error})"
+        )
+    branch = "case1" if skew is None or skew["pass"] else "case2"
+    eps0 = A if branch == "case1" else A ** (49.0 / 50.0)
+    alpha_conditions = alpha_hypotheses(prepared.alpha, lam, s, r, r * r)
+    return RadiusResult(r, eps0, branch, A, skew, alpha_conditions, trial), algebra
 
 
-def alpha_window_sups(alpha: CoeffSeries, s: int, lim: float) -> tuple:
-    """alpha on 201 points of [-lim, lim], and the sups there of
-    ||alpha^(s)| - s!|, of |alpha^(k)| over s < k <= 16s and of |alpha^(k)|
-    over 0 < k < s (0.0 for an empty range of k)."""
+def alpha_hypotheses(alpha: CoeffSeries, lam: float, s: int, r: float, lim: float) -> dict:
+    """The hypotheses on the exponent at radius r, each a bound entry over 201
+    points of [-lim, lim]: |alpha - lam|, the range window [-1/8, 4 pi + 1/8]
+    as |alpha - 2 pi|, |alpha|, ||alpha^(s)| - s!|, |alpha^(k)| over
+    s < k <= 16s and, for s >= 2, |alpha^(k)| over 0 < k < s."""
     zs = np.linspace(-lim, lim, 201)
+    vals = alpha.eval(zs).real
 
     def sup(ks):
         return max((float(np.max(np.abs(alpha.derivative(k).eval(zs)))) for k in ks),
                    default=0.0)
 
-    fact = float(math.factorial(s))
+    fact = math.factorial(s)
     ds_dev = float(np.max(np.abs(np.abs(alpha.derivative(s).eval(zs)) - fact)))
     highs = sup(range(s + 1, min(16 * s, alpha.trunc_z) + 1))
-    return alpha.eval(zs), ds_dev, highs, sup(range(1, s))
-
-
-def _alpha_conditions(alpha: CoeffSeries, lam: float, s: int, r: float) -> dict:
-    vals, ds_dev, highs, _ = alpha_window_sups(alpha, s, r * r)
-    return {
-        "sup_alpha_minus_lambda": float(np.max(np.abs(vals - lam))),
-        "bound_alpha_minus_lambda": 1.0 / 8.0,
-        "sup_ds_minus_sfact": ds_dev,
-        "bound_ds_minus_sfact": math.factorial(s) / 20.0,
-        "sup_high_derivatives": highs,
-        "bound_high_derivatives": 0.25 / r,
+    out = {
+        "alpha_minus_lambda": bound_entry(float(np.max(np.abs(vals - lam))), 1.0 / 8.0),
+        "alpha_range": bound_entry(float(np.max(np.abs(vals - 2 * np.pi))), 2 * np.pi + 0.125),
+        "alpha_norm": bound_entry(float(np.max(np.abs(vals))), 4 * np.pi + 0.25),
+        "ds_minus_sfact": bound_entry(ds_dev, fact / 20.0),
+        "high_derivatives": bound_entry(highs, 0.25 / r),
     }
+    if s >= 2:
+        out["low_derivatives"] = bound_entry(sup(range(1, s)), 1.0 / 16.0)
+    return out
 
 
 def _trial_step(prepared: InvolutionPair, geom: StepGeometry) -> tuple[dict, StepAlgebra]:
     """One step at geom with delta calibrated on its samples, measuring only
-    p_+; returns the trial record and the step's algebra, and raises
-    SeriesError when the step refuses."""
+    p_+ against A^CONTRACTION_EXPONENT; returns the trial record and the
+    step's algebra, and raises SeriesError when the step refuses."""
     A, D = geom.eps, prepared.trunc_total
     delta = calibrate_delta(prepared.alpha, D, geom, 100.0 * A ** (1.0 / (60.0 * geom.s)))
     if delta <= 0:
         raise SeriesError("vanishing divisor")
     algebra, _ = run_step(prepared, replace(geom, delta=delta))
     p_plus = geom.sup_norm(algebra.t_plus.p, geom.beta_plus, geom.r_plus)
-    return {"p_plus": p_plus, "target": A**CONTRACTION_EXPONENT, "delta": delta}, algebra
+    return {"contraction": bound_entry(p_plus, A**CONTRACTION_EXPONENT), "delta": delta}, algebra
 
 
 def prenormalize(t: InvolutionPair, N: int) -> tuple[InvolutionPair, list, dict]:

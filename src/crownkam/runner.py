@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field, replace
@@ -35,7 +34,7 @@ from .moserwebster import (
     surface_from_config,
 )
 from .prenormal import (
-    alpha_window_sups,
+    alpha_hypotheses,
     detect_nondegeneracy,
     practical_beta,
     prenormalize,
@@ -44,6 +43,7 @@ from .prenormal import (
 from .series import CoeffSeries, CrownNormParams, CrownSeries, SeriesError
 from .sieve import (
     IntervalSet,
+    bound_entry,
     build_schedule,
     excise_resonances,
     measure_excluded,
@@ -269,47 +269,14 @@ def prepare(config: RunConfig) -> tuple[KamState, dict]:
         sigma_o=sigma_o.components(), surface=surface, frame=frame,
         branch=rs.branch, lam0=lam_prep, first_step_algebra=trial_algebra,
     )
-    zs = np.array(omegas)
-    record["alpha0_minus_lambda_sup"] = float(
-        np.max(np.abs(pair0.alpha.eval(zs).real - lam_prep))
-    )
-    record["alpha0_minus_lambda_bound"] = 0.25
-    record["alpha_hypotheses"] = _alpha_entry_hypotheses(pair0.alpha, s, r0, beta0)
-    # entry hypotheses are stated against the schedule's eps0, with the
-    # measured quantities required to sit below them
-    eps0_sched = max(eps0, eps_m)
+    record["alpha_hypotheses"] = alpha_hypotheses(pair0.alpha, lam_prep, s, r0, r0 * r0 - beta0)
+    # the entry hypotheses, against the eps0 the schedule was built from
+    eps0_sched = schedule.eps[0]
     record["entry"] = {
-        "eps_measured": eps_m,
-        "eps0_schedule": eps0_sched,
-        "skew_measured": skew_m,
-        "p_hypothesis_pass": bool(eps_m <= eps0_sched * (1 + 1e-12)),
-        "skew_hypothesis_bound": eps0_sched**1.5 / 3.0,
-        "skew_hypothesis_pass": bool(skew_m < eps0_sched**1.5 / 3.0),
+        "eps": bound_entry(eps_m, eps0_sched),
+        "skew": bound_entry(skew_m, eps0_sched**1.5 / 3.0),
     }
     return state, record
-
-
-def _alpha_entry_hypotheses(alpha: CoeffSeries, s: int, r0: float, beta0: float) -> dict:
-    """The entry hypotheses on the exponent, each measured on
-    the working window and paired with its bound."""
-    vals, ds_dev, highs, lows = alpha_window_sups(alpha, s, max(r0 * r0 - beta0, 1e-12))
-    vals = vals.real
-    fact = float(math.factorial(s))
-    out = {
-        "range": [float(vals.min()), float(vals.max())],
-        "range_window": [-0.125, 4 * np.pi + 0.125],
-        "range_pass": bool(vals.min() > -0.125 and vals.max() < 4 * np.pi + 0.125),
-        "norm_sup": float(np.max(np.abs(vals))),
-        "norm_bound": 4 * np.pi + 0.25,
-        "ds_minus_sfact_sup": ds_dev,
-        "ds_bound": fact / 16.0,
-        "high_derivative_sup": highs,
-        "high_derivative_bound": 0.25 / r0,
-    }
-    if s >= 2:
-        out["low_derivative_sup"] = lows
-        out["low_derivative_bound"] = 1.0 / 16.0
-    return out
 
 
 def iterate(state: KamState, config: RunConfig) -> KamState:
@@ -556,9 +523,7 @@ def verify_suite(out_dir: str) -> dict:
     report = {"checks": {}}
 
     def check(name, value, tol):
-        report["checks"][name] = {
-            "value": value, "tol": tol, "pass": bool(value <= tol)
-        }
+        report["checks"][name] = bound_entry(value, tol)
 
     lin_cfg = RunConfig.from_dict(dict(FIXTURES["linear"], out_dir=out_dir))
     state, record, curves = run_pipeline(lin_cfg)
@@ -576,14 +541,12 @@ def verify_suite(out_dir: str) -> dict:
     ok_contr = all(
         rep["practical"]["contraction"]["pass"] for rep in state.history
     )
-    report["checks"]["cubic_contraction_all_rounds"] = {
-        "value": ok_contr, "pass": bool(ok_contr)
-    }
+    report["checks"]["cubic_contraction_all_rounds"] = {"measured": ok_contr, "pass": ok_contr}
     if curves:
         check("cubic_curve_residual", max(c.conjugacy_residual for c in curves), 1e-7)
         check("cubic_rho_residual", max(c.rho_equivariance_residual for c in curves), 1e-9)
         mu_ok = all(c.in_window(state.lam0) for c in curves)
-        report["checks"]["cubic_mu_in_window"] = {"value": mu_ok, "pass": bool(mu_ok)}
+        report["checks"]["cubic_mu_in_window"] = {"measured": mu_ok, "pass": mu_ok}
     np_ = CrownNormParams(0.25 * state.r**2, state.r**2 / 16, state.r)
     check("cubic_involution_residual", state.pair.involution_residual(np_), 1e-9)
 

@@ -614,22 +614,6 @@ class CrownSeries:
                 out.append([float(c.real), float(c.imag)])
         return out
 
-    @staticmethod
-    def from_json(data: Sequence[Sequence[float]]) -> "CrownSeries":
-        n = len(data)
-        D = 0
-        while (D + 1) * (D + 2) // 2 < n:
-            D += 1
-        if (D + 1) * (D + 2) // 2 != n:
-            raise SeriesError("coefficient list length is not triangular")
-        c = np.zeros((D + 1, D + 1), dtype=np.complex128)
-        it = iter(data)
-        for d in range(D + 1):
-            for m in range(d + 1):
-                re, im = next(it)
-                c[m, d - m] = complex(re, im)
-        return CrownSeries(c, D)
-
 
 # ---------------------------------------------------------------------------
 # free functions

@@ -15,6 +15,11 @@ ROOT_TOL = 1e-12
 DEFAULT_GRID = 4096
 
 
+def bound_entry(measured, bound) -> dict:
+    """A measured quantity against its bound, passing when measured <= bound."""
+    return {"measured": measured, "bound": bound, "pass": bool(measured <= bound)}
+
+
 class IntervalSet:
     """Finite union of disjoint closed intervals [a, b], kept sorted."""
 
@@ -220,8 +225,7 @@ class Schedule:
     r: list = field(default_factory=list)
     K: list = field(default_factory=list)
     beta_practical: list = field(default_factory=list)
-    feasible_rigorous: bool = False
-    feasibility_lhs: float = float("inf")
+    smallness: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -229,7 +233,7 @@ class Schedule:
 
 def build_schedule(s: int, r0: float, eps0: float, max_nu: int) -> Schedule:
     """Fill the quantity lists to max_nu and evaluate the verbatim smallness
-    inequality; runs proceed regardless (flagged).
+    inequality as ``smallness``; runs proceed regardless (flagged).
 
     eps_{nu+1} = eps_nu^{5/4}; beta_nu = eps_nu^{1/(40s)};
     beta~_nu = 16 eps_nu^{1/(32s)}; zeta_{nu+1} = zeta_nu + eps_nu^{1/3};
@@ -254,8 +258,7 @@ def build_schedule(s: int, r0: float, eps0: float, max_nu: int) -> Schedule:
         zeta = zeta + eps ** (1.0 / 3.0)
         eps = eps**1.25
         r = r_next
-    sch.feasibility_lhs = smallness_lhs(s, r0, eps0)
-    sch.feasible_rigorous = bool(sch.feasibility_lhs < 1.0)
+    sch.smallness = bound_entry(smallness_lhs(s, r0, eps0), 1.0)
     return sch
 
 

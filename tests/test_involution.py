@@ -264,12 +264,3 @@ def test_residuals_desk_instance_coefficient_bound():
     assert measured <= eps**1.8 / (60 * NP.radius)
     for _, measured_l, bound_l in rep["coeff_identity_ladder"]:
         assert measured_l <= bound_l
-
-
-def test_json_roundtrip_pair():
-    rng = np.random.default_rng(23)
-    D = 6
-    t = synthesize_pair(model_pair(D).alpha, random_real_U(rng, D, 1e-3))
-    back = InvolutionPair.from_json(t.to_json())
-    np.testing.assert_allclose(back.p.coeffs, t.p.coeffs, atol=1e-16)
-    np.testing.assert_allclose(back.q.coeffs, t.q.coeffs, atol=1e-16)

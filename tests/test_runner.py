@@ -1,6 +1,7 @@
 """Tests for the end-to-end driver, curve extraction and the CLI."""
 
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -75,7 +76,7 @@ def test_prepare_linear_case1(linear_run):
     state, record, curves = linear_run
     assert record["radius_search"]["branch"] == "case1"
     assert state.eps_measured[0] <= 1e-10
-    assert record["alpha0_minus_lambda_sup"] < 0.25
+    assert record["alpha_hypotheses"]["alpha_minus_lambda"]["measured"] < 0.25
 
 
 def test_prepare_cubic_nondegenerate(cubic_run):
@@ -83,7 +84,22 @@ def test_prepare_cubic_nondegenerate(cubic_run):
     nd = record["prenormalization"]["nondegeneracy"]
     assert nd["s"] == 1
     assert abs(nd["c_s"]) > 1e-6
-    assert record["entry"]["skew_hypothesis_pass"] or state.branch == "case1"
+    assert record["entry"]["skew"]["pass"] or state.branch == "case1"
+
+
+def test_entry_eps_is_bounded_by_the_schedule_eps0(monkeypatch):
+    # the bound was max(eps0, eps measured), so the hypothesis could never
+    # fail; with eps0 ten times smaller than the radius search found, it must
+    search = runner.radius_search
+
+    def small_eps0(prepared):
+        rs, algebra = search(prepared)
+        return dataclasses.replace(rs, eps0=rs.eps0 / 10), algebra
+
+    monkeypatch.setattr(runner, "radius_search", small_eps0)
+    state, record = prepare(RunConfig.from_dict(dict(FIXTURES["cubic"])))
+    assert record["entry"]["eps"]["bound"] == record["schedule"]["eps"][0]
+    assert not record["entry"]["eps"]["pass"]
 
 
 def test_radius_search_and_entry_measure_one_skew(cubic_run):
@@ -91,7 +107,7 @@ def test_radius_search_and_entry_measure_one_skew(cubic_run):
     # the same pair on the same omega samples
     state, record, curves = cubic_run
     assert record["radius_search"]["branch"] == "case1"
-    assert record["radius_search"]["skew_measured"] == record["entry"]["skew_measured"]
+    assert record["radius_search"]["skew"]["measured"] == record["entry"]["skew"]["measured"]
 
 
 def test_direct_input_prepared_form():
@@ -181,7 +197,7 @@ def test_case2_preliminary_step_branch():
     state, record, curves = run_pipeline(RunConfig.from_dict(case2_direct_config()))
     assert record["radius_search"]["branch"] == "case2"
     assert record["preliminary_step"] is not None
-    assert record["entry"]["skew_hypothesis_pass"]
+    assert record["entry"]["skew"]["pass"]
     assert state.eps_measured[-1] <= state.eps_measured[0]
     assert record["psi_factorizations"]["prelim_links"][-2:] == [
         "cohomological", "theta-scaling",
@@ -467,6 +483,40 @@ def test_cli_report_prints_a_verify_report(tmp_path, capsys):
     reprinted = capsys.readouterr().out.splitlines()
     assert printed[0] == reprinted[0] == "verify: PASS"
     assert len(printed) > 1 and sorted(printed) == sorted(reprinted)
+
+
+@pytest.mark.parametrize("command, config", [
+    ("iterate", FIXTURES["cubic"]),
+    ("iterate", case2_direct_config()),
+    ("iterate", dataclasses.asdict(twisted_direct_config([[0.0, 0.0], [1.0, 0.0]]))),
+    ("verify", None),
+], ids=["cubic", "case2-direct", "twist2-direct", "verify"])
+def test_every_bound_check_in_a_report_has_one_shape(tmp_path, command, config):
+    # each measured-versus-bound pair is {"measured", "bound", "pass"} with
+    # pass == (measured <= bound), and no key spells a check its own way
+    argv = [command, "--out", str(tmp_path)]
+    if config is not None:
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        argv += ["--config", str(tmp_path / "config.json")]
+    assert run_cli(argv) == 0
+    entries, keys = [], []
+
+    def walk(node):
+        if isinstance(node, dict):
+            if "bound" in node:
+                entries.append(node)
+            keys.extend(node)
+            node = list(node.values())
+        if isinstance(node, list):
+            for child in node:
+                walk(child)
+
+    walk(json.loads((tmp_path / "run_report.json").read_text()))
+    assert entries
+    for entry in entries:
+        assert sorted(entry) == ["bound", "measured", "pass"]
+        assert entry["pass"] == (entry["measured"] <= entry["bound"])
+    assert [k for k in keys if k.endswith(("_sup", "_bound", "_pass"))] == []
 
 
 @pytest.mark.parametrize("text, message", [

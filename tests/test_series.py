@@ -635,13 +635,6 @@ def test_inversion_neither_composes_nor_multiplies(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def test_json_roundtrip_crown():
-    rng = np.random.default_rng(43)
-    f = random_crown(rng, 5)
-    back = CrownSeries.from_json(f.to_json())
-    np.testing.assert_allclose(back.coeffs, f.coeffs, atol=1e-16)
-
-
 def test_json_roundtrip_coeff():
     h = CoeffSeries(np.array([1.0 + 2j, 0.5, -0.25j]))
     back = CoeffSeries.from_json(h.to_json())

@@ -228,8 +228,8 @@ def test_schedule_beta_tilde_identity():
 
 def test_schedule_feasibility_flag_desk():
     sch = build_schedule(1, 0.1, 1e-4, 3)
-    assert not sch.feasible_rigorous
-    assert sch.feasibility_lhs > 1.0
+    assert not sch.smallness["pass"]
+    assert sch.smallness["measured"] > 1.0 == sch.smallness["bound"]
 
 
 def test_schedule_rejects_bad_inputs():
