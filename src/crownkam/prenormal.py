@@ -37,10 +37,9 @@ DIVISOR_FLOOR = 1e-8
 DEGENERACY_TOL = 1e-12
 # realness bound of mu and alpha-check, relative to max(1, max |coefficient|)
 REALFORM_REALNESS_TOL = 1e-9
-# radius search: first radius, halvings allowed, and the trial step's
-# acceptance p_+ <= A^CONTRACTION_EXPONENT
+# radius search: first radius, and the trial step's acceptance
+# p_+ <= A^CONTRACTION_EXPONENT
 R_START = 0.24
-MAX_HALVINGS = 40
 CONTRACTION_EXPONENT = 1.15
 
 
@@ -233,12 +232,14 @@ def radius_search(prepared: InvolutionPair) -> tuple[RadiusResult, StepAlgebra |
     exactly when ``skew``, the skew term against A^{3/2}/3, passes.  The
     accepted trial's algebra is returned beside the result (None when no
     trial ran), for the step that starts from the same pair at the same K.
+    r halves from ``R_START``; once it falls below 1e-7, after 22 trial
+    radii, the search raises SeriesError.
     """
     s = prepared.s_order
     lam = float(prepared.alpha.coeffs[0].real)
     r = R_START
     last_error = None
-    for _ in range(MAX_HALVINGS):
+    while True:
         A = 10.0 * max(prepared.p.full_norm(r), prepared.q.full_norm(r))
         trial = skew = algebra = None
         if A <= 1e-13:  # perturbation at truncation-noise level: trivially in

@@ -417,23 +417,15 @@ def write_json(path: str, data: dict) -> None:
 
 
 def _write_csv(path: str, header: list, rows) -> None:
-    """Rows streamed as comma-joined cells, each followed by CRLF: ``repr`` for
-    floats (shortest round trip, so float(cell) returns the value), ``str``
-    for everything else.
+    """Rows streamed as comma-joined ``str`` cells, each followed by CRLF.
 
-    These are the bytes ``csv.writer`` gives for the same cells.  A cell it
-    would quote or write otherwise (one holding a comma, a quote, CR or LF, a
-    row of one empty cell, a None) raises ValueError.
+    The cells are the program's own numbers (floats, ints, bools) under
+    constant header names, so none needs quoting, and ``str`` of a float is
+    its shortest round trip: these are the bytes ``csv.writer`` gives.
     """
     with open(path, "w", newline="") as fh:
         for row in itertools.chain([header], rows):
-            if None in row:
-                raise ValueError(f"{path}: a None cell in {row!r}")
-            line = ",".join([float.__repr__(v) if isinstance(v, float) else str(v) for v in row])
-            if (line.count(",") != max(len(row) - 1, 0) or '"' in line or "\r" in line
-                    or "\n" in line or line == "" and len(row) == 1):
-                raise ValueError(f"{path}: a cell that csv would quote in {row!r}")
-            fh.write(line + "\r\n")
+            fh.write(",".join(map(str, row)) + "\r\n")
 
 
 def write_curves_csv(out_dir: str, curves: list[CurveResult], hyperbolas: list[dict]) -> None:
@@ -490,12 +482,6 @@ def run_pipeline(config: RunConfig) -> tuple[KamState, dict, list]:
         "prelim_links": [l.label for l in state.prelim_chain],
         "step_links": [[l.label for l in links] for links in state.chain],
     }
-    # a geometric estimate of the chain's truncation tail from the last two eps
-    eps, tail = state.eps_measured, 0.0
-    if len(eps) >= 2 and eps[-2] > 0:
-        ratio = min(0.5, eps[-1] / eps[-2])
-        tail = eps[-1] ** 0.8 * ratio / max(1e-300, 1.0 - ratio)
-    record["chain_tail"] = tail
     picked, excluded = select_omegas(state, config.omega_count)
     curves = extract_curves(state, picked, N_CURVE_POINTS)
     record["curves"] = [

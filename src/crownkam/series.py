@@ -774,12 +774,15 @@ def scaling_pair(h: CoeffSeries, k: CoeffSeries, D: int) -> MapPair:
     return tuple(out)
 
 
+@lru_cache(maxsize=8)
 def principal_part(alpha: CoeffSeries, b: float, D: int) -> MapPair:
     """(e^{i b alpha(xi eta)} xi, e^{-i b alpha(xi eta)} eta), the rotation map.
 
     The linear-in-(xi, eta) part of tau1 (b = -1/2, components swapped), of
     sigma (b = 1) and of every conjugated pair in between.  The exponentials
-    are those of ``rotation_factor``.
+    are those of ``rotation_factor``.  Built once per (alpha, b, D): a pair's
+    skew term, split, sigma and step each ask for the same few, and a
+    ``CoeffSeries`` is immutable and hashes by identity.
     """
     a = alpha.truncate(D // 2)
     return scaling_pair(a.exp(1j * b), a.exp(-1j * b), D)

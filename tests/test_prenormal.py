@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from crownkam import prenormal
 from crownkam.involution import InvolutionPair, synthesize_pair
 from crownkam.prenormal import (
     apply_radial_rescale,
@@ -240,6 +241,25 @@ def test_radius_A_scaling_slope():
     A1 = 10 * max(t.p.full_norm(0.2), t.q.full_norm(0.2))
     A2 = 10 * max(t.p.full_norm(0.1), t.q.full_norm(0.1))
     assert A1 / A2 == pytest.approx(2 ** 6, rel=1e-12)
+
+
+def test_radius_search_underflows_after_22_trial_radii(monkeypatch):
+    # a linear perturbation term keeps A above the noise floor at every
+    # radius, and a refusing trial step accepts none: r halves from 0.24 to
+    # below 1e-7, which takes 22 trials
+    t = prepared_fixture()
+    t = InvolutionPair(t.alpha, t.p + CrownSeries.monomial(1, 0, 12, 1e-2), t.q, 1)
+    radii = []
+
+    def refuse(prepared, geom):
+        radii.append(geom.r)
+        raise SeriesError("refused")
+
+    monkeypatch.setattr(prenormal, "_trial_step", refuse)
+    with pytest.raises(SeriesError, match="radius search underflow"):
+        radius_search(t)
+    assert radii == [0.24 / 2**k for k in range(22)]
+    assert 10 * t.p.full_norm(radii[-1] / 2) > 1e-13
 
 
 def test_radius_search_practical_contracts():

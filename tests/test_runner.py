@@ -463,8 +463,7 @@ def test_cli_iterate_outputs(tmp_path):
     assert len(report["sieve"]) >= 1
     for row in report["sieve"]:
         assert row["paper_bound_pyartli"] == resonance_zone_bound(s, row["delta"], row["K"])
-    # the chain tail is one run-level number
-    assert text.count('"chain_tail"') == 1 and report["chain_tail"] > 0
+    assert "chain_tail" not in report
     # one curves.csv row per sample; the omega cells read back as the report's omegas
     samples = _csv_rows(out / "curves.csv")
     assert len(report["curves"]) >= 2
@@ -566,18 +565,6 @@ def test_csv_writer_streams_rows_from_a_generator(tmp_path):
     _write_csv(str(tmp_path / "ours.csv"), ["i", "x"], rows)
     want = csv_module_bytes(tmp_path / "csv.csv", ["i", "x"], [[i, float(i) / 3] for i in range(5)])
     assert (tmp_path / "ours.csv").read_bytes() == want
-
-
-@pytest.mark.parametrize("cells", [
-    ["a,b", 1.0], ['say "hi"', 1], ["two\nlines"], ["cr\r"], [1.0, None], [None], [""],
-])
-def test_csv_writer_refuses_what_csv_would_quote_and_none(tmp_path, cells):
-    # csv would quote these cells (or write None as an empty cell, a lone
-    # empty cell as ""), so the writer refuses them rather than write other bytes
-    with pytest.raises(ValueError):
-        _write_csv(str(tmp_path / "ours.csv"), ["a", "b"], [[1, 2.0], cells])
-    with pytest.raises(ValueError):
-        _write_csv(str(tmp_path / "ours.csv"), cells, [])
 
 
 @pytest.mark.parametrize(
