@@ -39,7 +39,7 @@ print(f"  prepared exponent: alpha(z) = {alpha[0]:.6f} + {alpha[1]:.3f} z"
 print(f"  perturbation order: {prep.p.order(tol=1e-11)} (>= 2N+2 = {2 * N + 2})")
 
 print("\n== radius search ==")
-res, _ = radius_search(prep)
+res = radius_search(prep)
 print(f"  r_* = {res.r_star},  A = {res.A:.4e},  branch = {res.branch}")
 if res.skew:
     print(f"  skew {res.skew['measured']:.3e} vs threshold A^(3/2)/3 = {res.skew['bound']:.3e}")

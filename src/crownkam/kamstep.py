@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
+from functools import lru_cache
 
 import numpy as np
 
@@ -141,7 +142,7 @@ class StepReport:
 
 
 def truncate_K(
-    p: CrownSeries, q: CrownSeries, K: float, geom: StepGeometry | None = None
+    p: CrownSeries, q: CrownSeries, K: float, geom: StepGeometry
 ) -> tuple[CrownSeries, CrownSeries, float]:
     """Keep crown indices l, j <= floor(K), i.e. the a[m, n] with
     |m - n| <= floor(K); returns the measured tail norm."""
@@ -151,12 +152,10 @@ def truncate_K(
     m, n = np.indices((D + 1, D + 1))
     keep = np.abs(m - n) <= np.floor(K)
     pK, qK = (CrownSeries(np.where(keep, f.coeffs, 0.0), D) for f in (p, q))
-    tail = 0.0
-    if geom is not None:
-        tail = max(
-            geom.sup_norm(p - pK, geom.beta_tilde, geom.r7),
-            geom.sup_norm(q - qK, geom.beta_tilde, geom.r7),
-        )
+    tail = max(
+        geom.sup_norm(p - pK, geom.beta_tilde, geom.r7),
+        geom.sup_norm(q - qK, geom.beta_tilde, geom.r7),
+    )
     return pK, qK, tail
 
 
@@ -385,23 +384,29 @@ def theta_scaling(inter: IntermediatePair, s: int) -> tuple[InvolutionPair, Scal
 
 @dataclass(frozen=True, eq=False)
 class StepAlgebra:
-    """What one step computes from its pair at the cut K and twist order s.
+    """What one step computes from its pair at the cut K: sigma, the
+    cohomological solution (u-hat, v-hat), the conjugation by
+    phi = Id + U-hat (with T and A) and the rescale by Theta, giving t_plus."""
 
-    sigma, the cohomological solution (u-hat, v-hat), the conjugation by
-    phi = Id + U-hat (with T and A) and the rescale by Theta, giving t_plus.
-    None of it reads the radii, the crown widths, the omega samples or
-    delta, so a later step on the same pair object at the same K and s can
-    take it from here instead of computing it again.
-    """
-
-    pair: InvolutionPair
     K: int
-    s: int
     sigma: ReversibleMap
     uv: MapPair
     inter: IntermediatePair
     theta: ScalingLink
     t_plus: InvolutionPair
+
+
+@lru_cache(maxsize=4)
+def _once(stage, *args):
+    """stage(*args), kept for the last four (stage, arguments) keys.
+
+    Every stage is a pure function of immutable arguments, and the series
+    in them hash by identity, so a step on the same pair object at the same
+    K and s (the radius search's further trial radii, and the step after
+    the search) takes the algebra from here.  The stages themselves stay
+    plain functions: a wrapped one (traced or counted) is another key.
+    """
+    return stage(*args)
 
 
 @contextmanager
@@ -413,23 +418,18 @@ def _stage(name: str):
         raise SeriesError(f"[{name}] {e}") from e
 
 
-def run_step(
-    t: InvolutionPair, geom: StepGeometry, prior: StepAlgebra | None = None
-) -> tuple[StepAlgebra, dict]:
+def run_step(t: InvolutionPair, geom: StepGeometry) -> tuple[StepAlgebra, dict]:
     """truncate -> sigma -> cohomological solve -> conjugate -> rescale, each
     stage behind its guards on geom.
 
     The guards are the omega windows, K >= 1, the small-divisor floor
     delta/2, room to invert phi, phi's crown containment and ||A|| < 1/16.
-    They always run against geom, in stage order.  The algebra comes from
-    ``prior`` when it was built from this pair object at this K and s, and
-    is computed afresh otherwise.  Returns the algebra and the sups the
-    guards measured: u_norm, v_norm, crown_escape_margin and norm_A.
+    They always run against geom, in stage order; the algebra between them
+    goes through ``_once``.  Returns the algebra and the sups the guards
+    measured: u_norm, v_norm, crown_escape_margin and norm_A.
     """
     D = t.trunc_total
     K = geom.K_cut(D)
-    if prior is not None and not (prior.pair is t and prior.K == K and prior.s == geom.s):
-        prior = None
     bt, r7 = geom.beta_tilde, geom.r7
     geom.window(geom.beta, geom.r)
     with _stage("truncate"):
@@ -437,14 +437,14 @@ def run_step(
             raise SeriesError("K must be >= 1")
         geom.window(bt, r7)
     with _stage("sigma"):
-        sigma = prior.sigma if prior else compose_sigma(t)
+        sigma = _once(compose_sigma, t)
     with _stage("cohomological"):
         dmin = divisor_minimum(t.alpha, geom, K + 1, bt)
         if dmin < geom.delta / 2.0:
             raise SeriesError(
                 f"small divisor {dmin:.3e} below delta/2 = {geom.delta / 2:.3e} on the disk"
             )
-        uv = prior.uv if prior else solve_cohomological(t, sigma, K)
+        uv = _once(solve_cohomological, t, sigma, K)
     sups = {"u_norm": geom.sup_norm(uv[0], bt, r7), "v_norm": geom.sup_norm(uv[1], bt, r7)}
     with _stage("conjugate"):
         # invertibility needs room relative to the radii; the crown
@@ -452,7 +452,7 @@ def run_step(
         u_size = sups["u_norm"] + sups["v_norm"]
         if u_size >= (r7 - geom.r_plus) / 8.0:
             raise SeriesError(f"conjugating map too large to invert: ||U|| = {u_size:.3g}")
-        inter = prior.inter if prior else conjugate_step(t, uv)
+        inter = _once(conjugate_step, t, uv)
     margin = sups["crown_escape_margin"] = crown_escape_margin(inter.phi, geom)
     if margin < 0:
         raise SeriesError(f"[conjugate] crown escape: margin {margin:.3e} < 0")
@@ -460,20 +460,17 @@ def run_step(
         norm_A = sups["norm_A"] = geom.sup_coeff(inter.A, geom.beta, geom.r)
         if norm_A >= 1.0 / 16.0:
             raise SeriesError(f"scaling precondition ||A|| = {norm_A:.3g} >= 1/16")
-        t_plus, theta = (prior.t_plus, prior.theta) if prior else theta_scaling(inter, geom.s)
-    return prior or StepAlgebra(t, K, geom.s, sigma, uv, inter, theta, t_plus), sups
+        t_plus, theta = _once(theta_scaling, inter, geom.s)
+    return StepAlgebra(K, sigma, uv, inter, theta, t_plus), sups
 
 
-def main_step(
-    t: InvolutionPair, geom: StepGeometry, prior: StepAlgebra | None = None
-) -> tuple[InvolutionPair, list, StepReport]:
+def main_step(t: InvolutionPair, geom: StepGeometry) -> tuple[InvolutionPair, list, StepReport]:
     """``run_step``, then every estimate of the step against its bound.
 
     Returns the new pair, the transform chain [phi, theta-scaling] (in
-    composition order) and the full measured-versus-bound report.  ``prior``
-    is used as ``run_step`` uses it.
+    composition order) and the full measured-versus-bound report.
     """
-    a, sups = run_step(t, geom, prior)
+    a, sups = run_step(t, geom)
     eps, delta, K = geom.eps, geom.delta, a.K
     report = StepReport(eps, delta, geom.K_formula, K)
 

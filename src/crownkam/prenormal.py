@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .involution import InvolutionPair, skew_term, split_pair
-from .kamstep import StepAlgebra, StepGeometry, calibrate_delta, run_step, window_samples
+from .kamstep import StepGeometry, calibrate_delta, run_step, window_samples
 from .series import (
     CoeffSeries,
     CrownSeries,
@@ -224,47 +224,51 @@ def practical_beta(eps: float, s: int, r: float) -> float:
     return min(eps ** (1.0 / (40.0 * s)), r * r / 8.0)
 
 
-def radius_search(prepared: InvolutionPair) -> tuple[RadiusResult, StepAlgebra | None]:
+def radius_search(prepared: InvolutionPair) -> RadiusResult:
     """Shrink r_* until the iteration entry predicate holds, then branch.
 
     r_* is accepted once one trial step contracts the measured perturbation
     to eps^{1.15} (``trial["contraction"]`` passes).  The branch is case 1
-    exactly when ``skew``, the skew term against A^{3/2}/3, passes.  The
-    accepted trial's algebra is returned beside the result (None when no
-    trial ran), for the step that starts from the same pair at the same K.
-    r halves from ``R_START``; once it falls below 1e-7, after 22 trial
-    radii, the search raises SeriesError.
+    exactly when ``skew``, the skew term against A^{3/2}/3, passes.  r halves
+    from ``R_START``; once it falls below 1e-7, after 22 trial radii, the
+    search raises SeriesError naming the last trial.  The step algebra reads
+    no radius, so every trial after the first takes it from ``kamstep``'s
+    memo, as does the step that starts from the same pair at the same K.
     """
     s = prepared.s_order
     lam = float(prepared.alpha.coeffs[0].real)
     r = R_START
-    last_error = None
+    last = None
     while True:
         A = 10.0 * max(prepared.p.full_norm(r), prepared.q.full_norm(r))
-        trial = skew = algebra = None
+        trial = skew = None
         if A <= 1e-13:  # perturbation at truncation-noise level: trivially in
             break
         beta = practical_beta(A, s, r)
         omegas = window_samples(IntervalSet.interval(-r * r, r * r), r * r - beta)
         geom = StepGeometry(r, 0.75 * r, beta, eps=A, delta=1.0, s=s, omega_samples=omegas)
         try:
-            trial, algebra = _trial_step(prepared, geom)
+            trial = _trial_step(prepared, geom)
         except SeriesError as e:
-            last_error = str(e)
-        if trial is not None and trial["contraction"]["pass"]:
-            skew = bound_entry(geom.sup_norm(skew_term(prepared), beta, r), A**1.5 / 3.0)
-            break
+            last = f"r = {r:.3g}: {e}"
+        else:
+            c = trial["contraction"]
+            if c["pass"]:
+                skew = bound_entry(geom.sup_norm(skew_term(prepared), beta, r), A**1.5 / 3.0)
+                break
+            last = (f"r = {r:.3g}: contraction p_+ = {c['measured']:.3e}"
+                    f" > A^{CONTRACTION_EXPONENT:g} = {c['bound']:.3e}")
         r *= 0.5
         if r < 1e-7:
             break
     if skew is None and A > 1e-13:  # no radius accepted
         raise SeriesError(
-            f"radius search underflow: no admissible radius found ({last_error})"
+            f"radius search underflow: no admissible radius found (last trial {last})"
         )
     branch = "case1" if skew is None or skew["pass"] else "case2"
     eps0 = A if branch == "case1" else A ** (49.0 / 50.0)
     alpha_conditions = alpha_hypotheses(prepared.alpha, lam, s, r, r * r)
-    return RadiusResult(r, eps0, branch, A, skew, alpha_conditions, trial), algebra
+    return RadiusResult(r, eps0, branch, A, skew, alpha_conditions, trial)
 
 
 def alpha_hypotheses(alpha: CoeffSeries, lam: float, s: int, r: float, lim: float) -> dict:
@@ -294,17 +298,17 @@ def alpha_hypotheses(alpha: CoeffSeries, lam: float, s: int, r: float, lim: floa
     return out
 
 
-def _trial_step(prepared: InvolutionPair, geom: StepGeometry) -> tuple[dict, StepAlgebra]:
+def _trial_step(prepared: InvolutionPair, geom: StepGeometry) -> dict:
     """One step at geom with delta calibrated on its samples, measuring only
-    p_+ against A^CONTRACTION_EXPONENT; returns the trial record and the
-    step's algebra, and raises SeriesError when the step refuses."""
+    p_+ against A^CONTRACTION_EXPONENT; returns the trial record, and raises
+    SeriesError when the step refuses."""
     A, D = geom.eps, prepared.trunc_total
     delta = calibrate_delta(prepared.alpha, D, geom, 100.0 * A ** (1.0 / (60.0 * geom.s)))
     if delta <= 0:
         raise SeriesError("vanishing divisor")
     algebra, _ = run_step(prepared, replace(geom, delta=delta))
     p_plus = geom.sup_norm(algebra.t_plus.p, geom.beta_plus, geom.r_plus)
-    return {"contraction": bound_entry(p_plus, A**CONTRACTION_EXPONENT), "delta": delta}, algebra
+    return {"contraction": bound_entry(p_plus, A**CONTRACTION_EXPONENT), "delta": delta}
 
 
 def prenormalize(t: InvolutionPair, N: int) -> tuple[InvolutionPair, list, dict]:

@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .involution import InvolutionPair, compose_sigma, skew_term
-from .kamstep import StepAlgebra, StepGeometry, calibrate_delta, main_step, window_samples
+from .kamstep import StepGeometry, calibrate_delta, main_step, window_samples
 from .moserwebster import (
     BishopSurface,
     DiagonalFrame,
@@ -187,8 +187,6 @@ class KamState:
     frame: DiagonalFrame | None = None
     branch: str = "case1"
     lam0: float = 0.0
-    # the radius search's trial algebra, for the first step of iterate only
-    first_step_algebra: StepAlgebra | None = None
 
 
 def prepare(config: RunConfig) -> tuple[KamState, dict]:
@@ -227,11 +225,11 @@ def prepare(config: RunConfig) -> tuple[KamState, dict]:
     if degenerate and max(prep.p.max_abs_coeff(), prep.q.max_abs_coeff()) > 1e-13:
         raise SeriesError("prepared exponent is degenerate: no z^s coefficient found")
     s = prep.s_order
-    rs, trial_algebra = radius_search(prep)
+    rs = radius_search(prep)
     record["radius_search"] = asdict(rs)
 
     lam_prep = float(prep.alpha.coeffs[0].real)
-    if rs.branch == "case1" or rs.A == 0.0:
+    if rs.branch == "case1":
         pair0, r0, eps0 = prep, rs.r_star, max(rs.eps0, 1e-16)
         O0 = IntervalSet.interval(-r0 * r0, r0 * r0)
         prelim_links = []
@@ -246,8 +244,7 @@ def prepare(config: RunConfig) -> tuple[KamState, dict]:
         O_delta = excise_resonances(O_full, prep.alpha, g0.K_cut(D), delta)
         g1 = replace(g0, omega_samples=window_samples(O_delta, r_star * r_star))
         geom = replace(g1, delta=calibrate_delta(prep.alpha, D, g1, delta))
-        pair0, links, rep = main_step(prep, geom, trial_algebra)
-        trial_algebra = None  # used up: iterate starts from pair0
+        pair0, links, rep = main_step(prep, geom)
         record["preliminary_step"] = rep.to_dict()
         prelim_links = list(links)
         r0 = 0.75 * r_star
@@ -267,7 +264,7 @@ def prepare(config: RunConfig) -> tuple[KamState, dict]:
         prelim_chain=list(chain_pre) + prelim_links,
         eps_measured=[eps_m], skew_measured=[skew_m],
         sigma_o=sigma_o.components(), surface=surface, frame=frame,
-        branch=rs.branch, lam0=lam_prep, first_step_algebra=trial_algebra,
+        branch=rs.branch, lam0=lam_prep,
     )
     record["alpha_hypotheses"] = alpha_hypotheses(pair0.alpha, lam_prep, s, r0, r0 * r0 - beta0)
     # the entry hypotheses, against the eps0 the schedule was built from
@@ -284,7 +281,6 @@ def iterate(state: KamState, config: RunConfig) -> KamState:
     D = state.pair.trunc_total
     s = state.pair.s_order
     sch = state.eps_schedule
-    prior, state.first_step_algebra = state.first_step_algebra, None
     for nu in range(config.max_nu):
         r_nu = sch.r[nu]
         r_next = sch.r[nu + 1]
@@ -328,12 +324,11 @@ def iterate(state: KamState, config: RunConfig) -> KamState:
             # the step's working grid must see the same divisor floor
             g1 = replace(g0, omega_samples=window_samples(O_next, r_next**2 - beta_nu))
             delta = calibrate_delta(state.pair.alpha, D, g1, delta)
-            pair_next, links, rep = main_step(state.pair, replace(g1, delta=delta), prior)
+            pair_next, links, rep = main_step(state.pair, replace(g1, delta=delta))
         except SeriesError as e:
             state.status = f"step-failed: {e}"
             break
 
-        prior = None
         state.pair = pair_next
         state.O = O_next
         state.r = r_next

@@ -1,4 +1,5 @@
-"""Composition helpers and paper-identity residuals that only the tests use."""
+"""Composition helpers, paper-identity residuals and a stage counter that
+only the tests use."""
 
 import functools
 
@@ -171,3 +172,23 @@ def sigma_first_order_residual(t: InvolutionPair, np_: CrownNormParams) -> tuple
     resid = sigma.f - first - multiply(rot_p, t.q.conj()) - p_rot
     eps = t.measured_eps(np_)
     return resid.crown_norm(np_), eps ** (31 / 16) / 80.0
+
+
+STEP_STAGES = ("compose_sigma", "solve_cohomological", "conjugate_step", "theta_scaling")
+
+
+def count_stage_runs(monkeypatch) -> list:
+    """Wrap the four algebra stages of ``kamstep.run_step``; returns the list
+    that each stage run appends (stage name, first argument) to.  Each
+    wrapper is one object for the whole test, so ``kamstep``'s memo still
+    hits on it."""
+    from crownkam import kamstep
+
+    runs = []
+    for name in STEP_STAGES:
+        def counted(*args, _stage=getattr(kamstep, name), _name=name):
+            runs.append((_name, args[0]))
+            return _stage(*args)
+
+        monkeypatch.setattr(kamstep, name, counted)
+    return runs

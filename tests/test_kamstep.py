@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from crownkam import kamstep
 from crownkam.involution import (
     InvolutionPair,
     compose_sigma,
@@ -37,7 +38,12 @@ from crownkam.series import (
 )
 from crownkam.transforms import chain_apply
 
-from composition_helpers import cohomological_entries, crown_reassemble
+from composition_helpers import (
+    STEP_STAGES,
+    cohomological_entries,
+    count_stage_runs,
+    crown_reassemble,
+)
 
 LAM = 2 * np.arccos(1 / (2 * 0.77))
 D = 12
@@ -145,7 +151,7 @@ def test_truncate_keeps_the_crown_entries_up_to_K(K):
     rng = np.random.default_rng(67)
     p, q = (CrownSeries(rng.standard_normal((D + 1, D + 1))
                         + 1j * rng.standard_normal((D + 1, D + 1)), D) for _ in range(2))
-    pK, qK, _ = truncate_K(p, q, K)
+    pK, qK, _ = truncate_K(p, q, K, desk_geometry(eps=1e-4, delta=0.1))
     for f, fK in ((p, pK), (q, qK)):
         kept = [(l, j, h) for l, j, h in f.crown_decompose() if max(l, j) <= np.floor(K)]
         assert np.array_equal(fK.coeffs, crown_reassemble(kept, D).coeffs)
@@ -369,22 +375,44 @@ def step_json(out):
     return json.dumps([t_plus.to_json(), rep.to_dict()], sort_keys=True)
 
 
-def test_step_algebra_is_reused_only_for_its_pair_K_and_s():
+def test_step_algebra_is_reused_only_for_its_pair_K_and_s(monkeypatch):
+    runs = count_stage_runs(monkeypatch)
     t = generic_instance(99, 4e-4)
     geom = desk_geometry(eps=measured_eps(t, 0.14), t=t)
     algebra, _ = run_step(t, geom)
-    # same pair object, K and s: taken whole, whatever the omega samples
+    assert [name for name, _ in runs] == list(STEP_STAGES)
+
+    def fresh(t2, g2):
+        kamstep._once.cache_clear()
+        return step_json(main_step(t2, g2))
+
+    # same pair, K and s, whatever the omega samples or the radius: no stage
+    # runs again (an equal pair holding the same series is the same key)
     fewer = dataclasses.replace(geom, omega_samples=geom.omega_samples[1:])
-    assert run_step(t, fewer, algebra)[0] is algebra
-    assert step_json(main_step(t, fewer, algebra)) == step_json(main_step(t, fewer))
-    # an equal pair that is another object, another pair, another K, another s
+    wider = dataclasses.replace(geom, r=1.05 * geom.r, r_plus=1.05 * geom.r_plus)
+    assert wider.K_cut(D) == algebra.K
+    for t2, g2 in ((t, fewer), (t, wider), (dataclasses.replace(t), geom)):
+        del runs[:]
+        again, _ = run_step(t2, g2)
+        assert again.t_plus is algebra.t_plus and again.uv is algebra.uv
+        out = step_json(main_step(t2, g2))
+        assert runs == []
+        assert out == fresh(t2, g2)
+        algebra, _ = run_step(t, geom)  # what the memo now holds for t
+    # another pair, K or s: the stages that read it run again, and only them
     other_K = dataclasses.replace(geom, eps=0.8)
     assert other_K.K_cut(D) != algebra.K
-    cases = [(dataclasses.replace(t), geom), (generic_instance(98, 4e-4), geom),
-             (t, other_K), (t, dataclasses.replace(geom, s=2))]
-    for t2, g2 in cases:
-        assert run_step(t2, g2, algebra)[0] is not algebra
-        assert step_json(main_step(t2, g2, algebra)) == step_json(main_step(t2, g2))
+    cases = [
+        (generic_instance(98, 4e-4), geom, STEP_STAGES),
+        (t, other_K, STEP_STAGES[1:]),
+        (t, dataclasses.replace(geom, s=2), STEP_STAGES[3:]),
+    ]
+    for t2, g2, rerun in cases:
+        del runs[:]
+        out = step_json(main_step(t2, g2))
+        assert [name for name, _ in runs] == list(rerun)
+        assert out == fresh(t2, g2)
+        run_step(t, geom)  # the memo holds t's algebra again
 
 
 @pytest.mark.parametrize("refusal", ["outside-window", "K-below-1"])

@@ -24,6 +24,8 @@ from crownkam.series import (
 )
 from crownkam.sieve import smallness_lhs
 
+from composition_helpers import STEP_STAGES, count_stage_runs
+
 LAM = 2 * np.arccos(1 / (2 * 0.77))  # gamma = 0.77: far from low resonances
 
 
@@ -228,7 +230,7 @@ def test_radius_zero_perturbation_case1():
         CrownSeries.zero(10),
         CrownSeries.zero(10),
     )
-    res, _ = radius_search(t)
+    res = radius_search(t)
     assert res.branch == "case1"
     assert res.A == 0.0
     assert res.eps0 == 0.0
@@ -262,9 +264,33 @@ def test_radius_search_underflows_after_22_trial_radii(monkeypatch):
     assert 10 * t.p.full_norm(radii[-1] / 2) > 1e-13
 
 
+def test_radius_search_runs_each_stage_once_over_22_trial_radii(monkeypatch):
+    # the underflow pair, with a contraction no trial can meet: all 22 trial
+    # steps run and refuse, but the algebra reads no radius, so each stage
+    # runs at the first radius only, and the underflow names the last
+    # trial's contraction
+    t = prepared_fixture()
+    t = InvolutionPair(t.alpha, t.p + CrownSeries.monomial(1, 0, 12, 1e-2), t.q, 1)
+    monkeypatch.setattr(prenormal, "CONTRACTION_EXPONENT", 1e6)
+    runs = count_stage_runs(monkeypatch)
+    trial_step, trials = prenormal._trial_step, []
+
+    def recorded(prepared, geom):
+        trials.append(trial_step(prepared, geom))
+        return trials[-1]
+
+    monkeypatch.setattr(prenormal, "_trial_step", recorded)
+    last = r"\(last trial r = 1\.14e-07: contraction p_\+ = \S+ > A\^1e\+06 = 0\.000e\+00\)$"
+    with pytest.raises(SeriesError, match="radius search underflow: .* " + last):
+        radius_search(t)
+    assert len(trials) == 22
+    assert not any(trial["contraction"]["pass"] for trial in trials)
+    assert sorted(name for name, _ in runs) == sorted(STEP_STAGES)
+
+
 def test_radius_search_practical_contracts():
     t = prepared_fixture()
-    res, _ = radius_search(t)
+    res = radius_search(t)
     assert res.branch in ("case1", "case2")
     assert res.trial is not None
     contraction = res.trial["contraction"]
@@ -287,7 +313,7 @@ def test_radius_search_case2_on_large_skew():
         return CrownSeries(c, D)
 
     t = synthesize_pair(alpha, (rand_u(), rand_u()))
-    res, _ = radius_search(t)
+    res = radius_search(t)
     assert res.branch == "case2"
     assert not res.skew["pass"] and res.skew["measured"] > res.skew["bound"]
 
@@ -322,6 +348,6 @@ def test_full_prenormalize_pipeline():
     # every chain link commutes with rho
     for link in chain:
         assert link.realness_defect() <= 1e-9
-    res, _ = radius_search(prep)
+    res = radius_search(prep)
     assert res.branch == "case1"
     assert res.skew["pass"] and res.trial["contraction"]["pass"]

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from crownkam import runner, series
+from crownkam import kamstep, runner, series
 from crownkam.kamstep import main_step
 from crownkam.runner import (
     FIXTURES,
@@ -25,6 +25,8 @@ from crownkam.runner import (
 from crownkam.series import SeriesError
 from crownkam.sieve import resonance_zone_bound
 from crownkam.transforms import chain_apply
+
+from composition_helpers import STEP_STAGES, count_stage_runs
 
 
 @pytest.fixture(scope="module")
@@ -93,8 +95,8 @@ def test_entry_eps_is_bounded_by_the_schedule_eps0(monkeypatch):
     search = runner.radius_search
 
     def small_eps0(prepared):
-        rs, algebra = search(prepared)
-        return dataclasses.replace(rs, eps0=rs.eps0 / 10), algebra
+        rs = search(prepared)
+        return dataclasses.replace(rs, eps0=rs.eps0 / 10)
 
     monkeypatch.setattr(runner, "radius_search", small_eps0)
     state, record = prepare(RunConfig.from_dict(dict(FIXTURES["cubic"])))
@@ -214,23 +216,28 @@ def step_json(out):
 ], ids=["cubic", "case2-direct"])
 def test_the_step_after_the_radius_search_takes_the_trial_algebra(monkeypatch, config, branch):
     # case 1: iterate's first step; case 2: the preliminary step.  Either
-    # starts from the trial's pair at its K, takes the trial's algebra and
-    # reports what the same step computed afresh reports
-    taken = []
+    # starts from the trial's pair at its K, runs no stage of the algebra
+    # and reports what the same step computed afresh reports
+    runs = count_stage_runs(monkeypatch)
+    first = []
 
-    def checked_step(t, geom, prior=None):
-        out = main_step(t, geom, prior)
-        if prior is not None:
-            assert out[0] is prior.t_plus
-            assert step_json(out) == step_json(main_step(t, geom))
-            taken.append(prior)
+    def checked_step(t, geom):
+        if first:
+            return main_step(t, geom)
+        before = len(runs)
+        out = main_step(t, geom)
+        first.append((t, runs[before:], [name for name, x in runs if x is t]))
+        kamstep._once.cache_clear()
+        assert step_json(out) == step_json(main_step(t, geom))
         return out
 
     monkeypatch.setattr(runner, "main_step", checked_step)
     state, record, _ = run_pipeline(RunConfig.from_dict(dict(config)))
     assert record["radius_search"]["branch"] == branch
-    assert len(taken) == 1
-    assert state.first_step_algebra is None
+    (t, in_step, on_pair), = first
+    assert in_step == []
+    # the trial ran sigma, the solve and the conjugation on the pair once
+    assert on_pair == list(STEP_STAGES[:3])
 
 
 def test_cubic_run_composes_42_times(monkeypatch):
