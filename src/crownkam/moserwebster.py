@@ -113,10 +113,14 @@ def deck_transformation(M: BishopSurface) -> MapPair:
 
         phi1 = w_c + psi^{-1}(-psi(t)).
 
-    No small divisors occur; the critical point solve gains one order per
-    pass since d f/d w1 has order >= 2.  The leftover linear coefficient of
-    F - F(w_c) in t measures solver failure and is checked against
-    ``DECK_SOLVER_TOL``.
+    No small divisors occur.  The critical point is a reversion: the map
+    G = Id + (0, (z1 + f_w)/(2 gamma)) sends (z1, w) to (z1, 0) exactly when
+    w = w_c(z1), so w_c is the eta-free column of the second component of
+    G^{-1} (``invert_near_identity``).  One pass of the equation on that
+    seed follows: the column alone can leave a linear defect above the
+    tolerance (the ``cubic`` fixture's f scaled by 16, D = 12).  The
+    leftover linear coefficient of F - F(w_c) in t measures solver failure
+    and is checked against ``DECK_SOLVER_TOL``.
     """
     D = M.trunc_total
     g = M.gamma
@@ -126,13 +130,10 @@ def deck_transformation(M: BishopSurface) -> MapPair:
     dF = M.f.partial(1)
 
     # fiberwise critical point: 2 gamma w_c + z1 + f_w(z1, w_c) = 0
-    wc = z1 * (-0.5 / g)
-    for _ in range(D + 2):
-        wc_new = (z1 + dF.substitute(z1, wc)) * (-0.5 / g)
-        if np.max(np.abs(wc_new.coeffs - wc.coeffs)) < 1e-16:
-            wc = wc_new
-            break
-        wc = wc_new
+    V = invert_near_identity((CrownSeries.zero(D), (z1 + dF) * (0.5 / g)))
+    seed = np.zeros((D + 1, D + 1), dtype=np.complex128)
+    seed[:, 0] = V[1].coeffs[:, 0]
+    wc = (z1 + dF.substitute(z1, CrownSeries(seed, D))) * (-0.5 / g)
 
     # F in centered fiber coordinate t: H(z1, t) = F(z1, t + w_c(z1))
     H = F.substitute(z1, w1 + wc)

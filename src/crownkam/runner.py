@@ -277,7 +277,9 @@ def prepare(config: RunConfig) -> tuple[KamState, dict]:
 
 
 def iterate(state: KamState, config: RunConfig) -> KamState:
-    """The loop: excise resonances, run a main step, record, repeat."""
+    """The loop: excise resonances, run a main step, record, repeat, until
+    eps is below ``CONVERGENCE_FLOOR``.  A run whose final eps is below it is
+    ``converged-to-truncation``, or ``converged-at-entry`` if no step ran."""
     D = state.pair.trunc_total
     s = state.pair.s_order
     sch = state.eps_schedule
@@ -286,8 +288,7 @@ def iterate(state: KamState, config: RunConfig) -> KamState:
         r_next = sch.r[nu + 1]
         beta_nu = practical_beta(state.eps_measured[-1], s, r_nu)
         eps_nu = max(state.eps_measured[-1], 1e-300)
-        if eps_nu < CONVERGENCE_FLOOR or state.skew_measured[-1] < CONVERGENCE_FLOOR:
-            state.status = "converged-to-truncation"
+        if eps_nu < CONVERGENCE_FLOOR:
             break
         g0 = StepGeometry(r_nu, r_next, beta_nu, eps=eps_nu, delta=1.0, s=s,
                           omega_samples=window_samples(state.O, r_nu * r_nu - beta_nu))
@@ -336,6 +337,8 @@ def iterate(state: KamState, config: RunConfig) -> KamState:
         state.history.append(rep.to_dict())
         state.eps_measured.append(rep.practical["eps_out"])
         state.skew_measured.append(rep.entries["skew_plus"]["measured"])
+    if state.status == "completed" and state.eps_measured[-1] < CONVERGENCE_FLOOR:
+        state.status = "converged-to-truncation" if state.chain else "converged-at-entry"
     return state
 
 

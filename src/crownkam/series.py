@@ -402,10 +402,9 @@ class CrownSeries:
     def from_z_series(h: CoeffSeries, D: int) -> "CrownSeries":
         """Lift h(z) to h(xi*eta): coefficient of z^k goes to (k, k)."""
         c = np.zeros((D + 1, D + 1), dtype=np.complex128)
-        kmax = min(h.trunc_z, D // 2)
-        for k in range(kmax + 1):
-            c[k, k] = h.coeffs[k]
-        return CrownSeries(c, D)
+        k = np.arange(min(h.trunc_z, D // 2) + 1)
+        c[k, k] = h.coeffs[k]
+        return CrownSeries._adopt(c, D)
 
     # -- queries -------------------------------------------------------------
 
@@ -416,11 +415,8 @@ class CrownSeries:
     def order(self, tol: float = 0.0) -> int:
         """Lowest total degree with a coefficient above tol (D+1 if none)."""
         D = self.trunc_total
-        for d in range(D + 1):
-            for m in range(d + 1):
-                if abs(self.coeffs[m, d - m]) > tol:
-                    return d
-        return D + 1
+        m, n = np.nonzero((np.abs(self.coeffs) > tol) & _triangle_mask(D + 1))
+        return int(np.min(m + n, initial=D + 1))
 
     def degree(self) -> int:
         """Highest total degree with a coefficient whose bits are not +0.0
@@ -605,14 +601,11 @@ class CrownSeries:
     def to_json(self) -> list:
         """Coefficients as [re, im] pairs in graded-lexicographic order.
 
-        Order: total degree d = m+n ascending, then m ascending within d.
+        Order: total degree d = m+n ascending, then m ascending within d,
+        the slot order of ``_graded``.
         """
-        out = []
-        for d in range(self.trunc_total + 1):
-            for m in range(d + 1):
-                c = self.coeffs[m, d - m]
-                out.append([float(c.real), float(c.imag)])
-        return out
+        c = self.coeffs.ravel()[_graded(self.trunc_total)[0]]
+        return np.stack((c.real, c.imag), axis=1).tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -174,6 +174,20 @@ def sigma_first_order_residual(t: InvolutionPair, np_: CrownNormParams) -> tuple
     return resid.crown_norm(np_), eps ** (31 / 16) / 80.0
 
 
+def count_compositions(monkeypatch) -> list:
+    """Wrap ``series._compose``; returns the list each composition appends to."""
+    from crownkam import series
+
+    calls, compose = [], series._compose
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return compose(*args, **kwargs)
+
+    monkeypatch.setattr(series, "_compose", counted)
+    return calls
+
+
 STEP_STAGES = ("compose_sigma", "solve_cohomological", "conjugate_step", "theta_scaling")
 
 

@@ -13,8 +13,11 @@ from crownkam.moserwebster import (
     reconstruct_surface,
     surface_from_config,
 )
+from crownkam.runner import FIXTURES
 from crownkam.series import CoeffSeries, CrownSeries, SeriesError, multiply, substitute_pair
 from crownkam.transforms import RadialLink, ScalingLink
+
+from composition_helpers import count_compositions
 
 
 def quadric_surface(gamma, D=8):
@@ -83,6 +86,33 @@ def test_deck_identity_five_cubics():
         deck = deck_transformation(M)
         resid = (F.substitute(deck[0], deck[1]) - F).max_abs_coeff()
         assert resid <= 1e-11
+
+
+def scaled_cubic_fixture(a, D):
+    surface = FIXTURES["cubic"]["surface"]
+    monomials = [[k, l, a * re, a * im] for k, l, re, im in surface["f_monomials"]]
+    return surface_from_config(dict(surface, degree=D, f_monomials=monomials))
+
+
+@pytest.mark.parametrize("D", [12, 24, 36])
+def test_deck_composes_five_times_at_every_degree(monkeypatch, D):
+    # the critical point is one reversion and one pass of its equation, so
+    # the count does not grow with D
+    calls = count_compositions(monkeypatch)
+    deck_transformation(scaled_cubic_fixture(1, D))
+    assert len(calls) == 5
+
+
+def test_deck_critical_point_check_at_the_edge_of_the_fixture_scale():
+    # the cubic fixture scaled by 16 still passes the critical-point check at
+    # D = 12 (the reversion's column alone leaves a residual above it), and
+    # scaled by 8 still fails it at D = 24
+    M = scaled_cubic_fixture(16, 12)
+    F = M.height()
+    deck = deck_transformation(M)
+    assert (F.substitute(*deck) - F).max_abs_coeff() <= 1e-6
+    with pytest.raises(SeriesError, match="critical-point residual"):
+        deck_transformation(scaled_cubic_fixture(8, 24))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from crownkam import kamstep, runner, series
+from crownkam import kamstep, runner
 from crownkam.kamstep import main_step
 from crownkam.runner import (
     FIXTURES,
@@ -26,7 +26,7 @@ from crownkam.series import SeriesError
 from crownkam.sieve import resonance_zone_bound
 from crownkam.transforms import chain_apply
 
-from composition_helpers import STEP_STAGES, count_stage_runs
+from composition_helpers import STEP_STAGES, count_compositions, count_stage_runs
 
 
 @pytest.fixture(scope="module")
@@ -240,24 +240,29 @@ def test_the_step_after_the_radius_search_takes_the_trial_algebra(monkeypatch, c
     assert on_pair == list(STEP_STAGES[:3])
 
 
-def test_cubic_run_composes_42_times(monkeypatch):
+def test_cubic_run_composes_31_times(monkeypatch):
     # one composition count per run pins the trial's algebra being taken by
-    # the first step, not run again (49 compositions when it was)
-    compose, calls = series._compose, []
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return compose(*args, **kwargs)
-
-    monkeypatch.setattr(series, "_compose", counted)
+    # the first step, not run again (7 more when it was), and the deck's
+    # critical point taking 1 composition, where a fixed-point loop took 12
+    calls = count_compositions(monkeypatch)
     run_pipeline(RunConfig.from_dict(dict(FIXTURES["cubic"])))
-    assert len(calls) == 42
+    assert len(calls) == 31
 
 
 def test_linear_start_exits_immediately(linear_run):
     state, record, curves = linear_run
     assert state.chain == []
+    assert state.status == "converged-at-entry"
+
+
+def test_cubic_d24_runs_until_eps_is_below_the_floor():
+    # skew falls below the floor after step 2 while eps is ~3e-10; the
+    # loop stops on eps alone, so a third step runs
+    state, record, curves = run_pipeline(RunConfig.from_dict(dict(FIXTURES["cubic"], degree=24)))
+    assert len(state.chain) == 3
+    assert state.eps_measured[-2] > runner.CONVERGENCE_FLOOR > state.eps_measured[-1]
     assert state.status == "converged-to-truncation"
+    assert max(c["conjugacy_residual"] for c in record["curves"]) <= 1e-14
 
 
 def test_cubic_three_rounds_superlinear(cubic_run):
