@@ -541,6 +541,66 @@ def verify_suite(out_dir: str) -> dict:
     return report
 
 
+# lists whose items compare_reports matches by a key, not by index
+MATCH_KEYS = {"curves": "omega", "sieve": "nu"}
+
+
+def compare_reports(a, b) -> list[str]:
+    """How the JSON value b differs from a, one line per difference.
+
+    Every bound entry (an object with a boolean ``pass``) whose flag flipped
+    comes first, then the added, removed and changed keys in walk order,
+    each changed number with its absolute and relative change.  ``curves``
+    are matched by ``omega``, ``sieve`` rows by ``nu`` (when those are
+    unique) and every other list by index.  An empty list means the two
+    values are identical.
+    """
+    flipped: list[str] = []
+    diffs: list[str] = []
+
+    def children(x, y, path, name) -> list[dict]:
+        """Per side, the path of each member -> (its name, its value)."""
+        if isinstance(x, dict):
+            return [{f"{path}.{k}" if path else k: (k, v) for k, v in d.items()} for d in (x, y)]
+        key = MATCH_KEYS.get(name)
+        if key and all(isinstance(v, dict) and key in v for v in x + y):
+            labels = [[f"{path}[{key}={v[key]!r}]" for v in d] for d in (x, y)]
+            if all(len(set(side)) == len(side) for side in labels):
+                return [{p: ("", v) for p, v in zip(side, d)} for side, d in zip(labels, (x, y))]
+        return [{f"{path}[{i}]": ("", v) for i, v in enumerate(d)} for d in (x, y)]
+
+    def walk(x, y, path, name):
+        if not (isinstance(x, dict) and isinstance(y, dict)
+                or isinstance(x, list) and isinstance(y, list)):
+            leaf(x, y, path)
+            return
+        cx, cy = children(x, y, path, name)
+        flags = [d.get("pass") for d in (x, y)] if isinstance(x, dict) else []
+        if flags and all(isinstance(f, bool) for f in flags) and flags[0] != flags[1]:
+            flipped.append(f"flipped: {path or '<root>'}: pass {flags[0]} -> {flags[1]}")
+            key = f"{path}.pass" if path else "pass"
+            del cx[key], cy[key]
+        for where in {**cx, **cy}:
+            if where not in cx:
+                diffs.append(f"added: {where}")
+            elif where not in cy:
+                diffs.append(f"removed: {where}")
+            else:
+                walk(cx[where][1], cy[where][1], where, cx[where][0])
+
+    def leaf(x, y, path):
+        numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (x, y))
+        if numbers and x != y and not (x != x and y != y):
+            change = abs(y - x)
+            rel = change / abs(x) if x else float("inf")
+            diffs.append(f"changed: {path}: {x!r} -> {y!r} (abs {change:.3g}, rel {rel:.3g})")
+        elif not numbers and (type(x) is not type(y) or x != y):
+            diffs.append(f"changed: {path}: {x!r} -> {y!r}")
+
+    walk(a, b, "", "")
+    return flipped + diffs
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
@@ -558,6 +618,11 @@ def _read_json_object(path: str, name: str) -> dict:
         raise ConfigError(f"{name}: invalid JSON ({e})") from e
     _require_object(data, name)
     return data
+
+
+def _report_path(path: str) -> str:
+    """A JSON file as given, or the run_report.json of a directory."""
+    return path if os.path.isfile(path) else os.path.join(path, "run_report.json")
 
 
 def _load_config(args) -> RunConfig:
@@ -591,12 +656,20 @@ def run_cli(argv=None) -> int:
     parser.add_argument("--degree", type=int, default=None)
     parser.add_argument("--out", default=None)
     parser.add_argument("--seed-fixture", default=None, dest="seed_fixture")
+    parser.add_argument("--against", default=None,
+                        help="report: list how the --out report differs from this one")
     args = parser.parse_args(argv)
 
     try:
         if args.command == "report":
-            path = os.path.join(args.out or "out", "run_report.json")
-            _print_summary(_read_json_object(path, path), path)
+            path = _report_path(args.out or "out")
+            record = _read_json_object(path, path)
+            if args.against is not None:
+                base = _report_path(args.against)
+                lines = compare_reports(_read_json_object(base, base), record)
+                print("\n".join(lines) if lines else f"{path} and {base} are identical")
+                return 1 if lines else 0
+            _print_summary(record, path)
             return 0
         if args.command == "verify":
             out_dir = args.out or "out"

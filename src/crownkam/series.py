@@ -54,6 +54,26 @@ def _circle(omega, beta: float, n: int) -> np.ndarray:
     return omega + beta * np.exp(1j * th)
 
 
+def _powers(z: np.ndarray, K: int) -> np.ndarray:
+    """The (K+1, *z.shape) table z^0, ..., z^K of every point of z, by
+    doubling: z^(k+1..2k) = z^(1..k) z^k, so ceil(log2 K) array products."""
+    out = np.empty((K + 1, z.size), dtype=np.complex128)
+    out[0] = 1.0
+    out[1:2] = z.ravel()
+    k = 1
+    while k < K:
+        n = min(k, K - k)
+        np.multiply(out[1 : n + 1], out[k], out[k + 1 : k + n + 1])
+        k += n
+    return out.reshape((K + 1,) + z.shape)
+
+
+# points per block of CrownSeries.eval: a block's tables hold 3 (D+1) x 512
+# numbers, so an evaluation over the curve pass's 3,456 points at D = 12
+# peaks below the (D+1) x 3,456 array of a Horner, and a block stays in cache
+_EVAL_BLOCK = 512
+
+
 def _check_cut(c0: complex, name: str) -> None:
     """Refuse a constant term on or next to the principal cut (-inf, 0]."""
     if c0 == 0 or (c0.real < 0 and abs(c0.imag) < 1e-14 * abs(c0)):
@@ -329,23 +349,6 @@ def _crown_index(D: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rows, cols, degree
 
 
-@lru_cache(maxsize=None)
-def _crown_rows_by_degree(D: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (rows, cols) gather indices of ``_crown_index`` in degree order
-    (0, 0), (1, 0), (0, 1), (2, 0), (0, 2), ..., so longest rows first, and
-    the permutation back to crown order.  A row of degree d has length
-    (D - d)//2 + 1, so the 1 + 2(D - 2k) rows of degree <= D - 2k are the
-    ones longer than k."""
-    rows, cols, _ = _crown_index(D)
-    order = np.concatenate(([0], np.arange(1, 2 * D + 1).reshape(2, D).T.ravel()))
-    back = np.empty_like(order)
-    back[order] = np.arange(order.size)
-    out = (rows[order], cols[order], back)
-    for arr in out:
-        arr.setflags(write=False)
-    return out
-
-
 class CrownSeries:
     """Dense triangular bivariate series sum a[m,n] xi^m eta^n, m+n <= D."""
 
@@ -420,8 +423,7 @@ class CrownSeries:
 
     def degree(self) -> int:
         """Highest total degree with a coefficient whose bits are not +0.0
-        (-1 if none).  Horner adds only +0.0 above it, which leaves every
-        value at a finite point unchanged."""
+        (-1 if none).  Every term above it is zero at a finite point."""
         c = self.coeffs
         live = (c.real != 0) | (c.imag != 0) | np.signbit(c.real) | np.signbit(c.imag)
         m, n = np.nonzero(live & _triangle_mask(self.trunc_total + 1))
@@ -509,31 +511,22 @@ class CrownSeries:
     def crown_norms(self, omegas, beta: float, radius: float, boundary_samples: int = 64):
         """``crown_norm`` at each of ``omegas``, checked as CrownNormParams does.
 
-        One Horner runs in place over every crown coefficient f_lj and every
-        circle point at once, longest rows first: a row joins at its own top
-        power with its top coefficient, the value 0 * z + c_top of a Horner
-        started above it.  Each norm sums sup * r^(l+j) over the rows in
-        crown order, so it has the bits of a lone omega's norm.
+        The crown coefficients f_lj, gathered as the rows of one
+        (2D+1, D//2+1) matrix with short rows zero-padded, multiply one table
+        of the powers of every circle point of every omega.  Each value is a
+        dot product of at most D//2+1 terms, within (D+1) eps sum_k |c_k||z|^k
+        of f_lj(z) up to a constant (Higham 2002, sections 3.1 and 5.1).
+        Each norm sums sup * r^(l+j) over the rows in crown order.
         """
         for w in omegas:
             CrownNormParams(w, beta, radius, boundary_samples)
         D = self.trunc_total
-        degree = _crown_index(D)[2]
-        rows, cols, back = _crown_rows_by_degree(D)
+        rows, cols, degree = _crown_index(D)
         padded = np.zeros((D + 2, D + 2), dtype=np.complex128)
         padded[: D + 1, : D + 1] = self.coeffs
-        crown = padded[rows, cols]
         zs = _circle(omegas, beta, boundary_samples)
-        z = zs.ravel()
-        vals = np.empty((crown.shape[0], z.size), dtype=np.complex128)
-        n = 0
-        for k in range(D // 2, -1, -1):
-            m = 1 + 2 * (D - 2 * k)  # the rows longer than k
-            vals[:n] *= z
-            vals[:n] += crown[:n, k, None]
-            vals[n:m] = crown[n:m, k, None]
-            n = m
-        sups = np.max(np.abs(vals).reshape(-1, *zs.shape), axis=2)[back]
+        vals = padded[rows, cols] @ _powers(zs.ravel(), D // 2)
+        sups = np.max(np.abs(vals).reshape(-1, *zs.shape), axis=2)
         return np.cumsum(sups * (radius ** np.arange(D + 1))[degree, None], axis=0)[-1]
 
     def full_norm(self, r: float) -> float:
@@ -548,24 +541,28 @@ class CrownSeries:
     def eval(self, xi, eta):
         """Pointwise evaluation (vectorized over broadcastable array arguments).
 
-        Horner in eta runs over every row a[m, :] at once, then Horner in xi
-        over the rows.  Row m starts from zero at its top degree n = D - m,
-        so each value has the bits of a row-by-row nested Horner loop.
+        With the power tables X[m] = xi^m and Y[n] = eta^n, the value is
+        sum_n Y[n] (A^T X)[n]: one matrix product, one product and one sum,
+        over blocks of ``_EVAL_BLOCK`` points.  Its error is within a
+        constant times (D+1) eps sum |a_mn| |xi|^m |eta|^n (Higham 2002,
+        sections 3.1 and 5.1); the bits of a point may depend on the batch
+        it is evaluated in, as BLAS sums a lone column differently.
         """
-        xi = np.asarray(xi, dtype=np.complex128)
-        eta = np.asarray(eta, dtype=np.complex128)
         D = self.trunc_total
         shape = np.broadcast(xi, eta).shape
-        rows = np.zeros((D + 1,) + shape, dtype=np.complex128)
-        lead = (slice(None),) + (None,) * len(shape)
-        for n in range(D, -1, -1):
-            active = rows[: D - n + 1]
-            active *= eta
-            active += self.coeffs[: D - n + 1, n][lead]
-        out = np.zeros(shape, dtype=np.complex128)
-        for m in range(D, -1, -1):
-            out = out * xi + rows[m]
-        return out if out.shape else complex(out)
+        z = np.empty((2,) + shape, dtype=np.complex128)
+        z[0], z[1] = xi, eta
+        z = z.reshape(2, -1)
+        out = np.empty(z.shape[1], dtype=np.complex128)
+        at = self.coeffs.T
+        for s in range(0, out.size, _EVAL_BLOCK):
+            block = slice(s, s + _EVAL_BLOCK)
+            table = _powers(z[:, block], D)
+            t = at @ table[:, 0]
+            t *= table[:, 1]
+            t.sum(0, out=out[block])
+            del table, t  # before the next block's tables are built
+        return out.reshape(shape) if shape else complex(out[0])
 
     # -- truncated-ring analytics -------------------------------------------------
 

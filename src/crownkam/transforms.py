@@ -24,8 +24,9 @@ class PolyLink:
 
     @cached_property
     def _point_maps(self) -> MapPair:
-        """The forward maps cut to their own degree: above it every term is
-        +0.0, so evaluation at finite points keeps the full Horner's bits."""
+        """The forward maps cut to their own degree, for speed: above it
+        every term is zero at finite points, so the values are the
+        full-degree ones within evaluation rounding (not their bits)."""
         cut = ((f, max(f.degree(), 0)) for f in self.forward)
         return tuple(CrownSeries(f.coeffs[: d + 1, : d + 1], d) for f, d in cut)
 

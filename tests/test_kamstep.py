@@ -44,6 +44,7 @@ from composition_helpers import (
     count_stage_runs,
     crown_reassemble,
 )
+from test_series_oracle import crown_norm_slack
 
 LAM = 2 * np.arccos(1 / (2 * 0.77))
 D = 12
@@ -516,8 +517,9 @@ def lone_crown_norm(f, w, beta, r, n):
 @pytest.mark.parametrize("beta", [0.0, 0.002])
 @pytest.mark.parametrize("n_samples", [5, 1])
 def test_window_sups_equal_the_one_omega_maximum(beta, n_samples):
-    # the one pass over the window keeps the bits of omega-by-omega sups, at
-    # D = 12 and at degrees where the crown rows differ more in length
+    # the one pass over the window is the maximum of omega-by-omega norms
+    # within the crown norm oracle's slack, at D = 12 and at degrees where the
+    # crown rows differ more in length; the coefficient sups keep their bits
     t = generic_instance(7, 4e-4)
     geom = desk_geometry(eps=1e-3, delta=0.1)
     geom = dataclasses.replace(geom, omega_samples=geom.omega_samples[:n_samples])
@@ -529,8 +531,9 @@ def test_window_sups_equal_the_one_omega_maximum(beta, n_samples):
     rng = np.random.default_rng(9)
     for f in [t.p] + [CrownSeries(rng.standard_normal((Dn + 1, Dn + 1)) * 1e-3, Dn)
                       for Dn in (24, 36)]:
-        assert geom.sup_norm(f, beta, geom.r) == max(
-            lone_crown_norm(f, w, beta, geom.r, n) for w in ws)
+        want = max(lone_crown_norm(f, w, beta, geom.r, n) for w in ws)
+        zs = np.concatenate([lone_circle(w, beta, n) for w in ws])
+        assert abs(geom.sup_norm(f, beta, geom.r) - want) <= crown_norm_slack(f, zs, geom.r, want)
     assert geom.sup_coeff(h, beta, geom.r) == max(lone_disk_max(h, w, beta, n) for w in ws)
     with pytest.raises(SeriesError, match="window"):
         outside_window(geom).sup_norm(t.p, beta, geom.r)

@@ -297,6 +297,47 @@ def test_composition_on_both_sides_of_the_graded_threshold(D, x00, monkeypatch):
         assert np.all(np.abs(alone[k].coeffs - refs[k].coeffs) <= substitution_bound(F[k], X, Y))
 
 
+def mp_eval(c: np.ndarray, xs, ys) -> np.ndarray:
+    """sum a_mn x^m y^n at DIGITS digits for each pair of points, rounded
+    once to complex128; a pair that repeats is evaluated once."""
+    mpmath.mp.dps = DIGITS
+    D = c.shape[0] - 1
+    a = [(m, n, mpmath.mpc(complex(c[m, n]))) for m in range(D + 1) for n in range(D + 1 - m)
+         if c[m, n] != 0]
+    memo = {}
+    for x, y in zip(xs, ys):
+        if (x, y) not in memo:
+            px, py = [mpmath.mpc(1)], [mpmath.mpc(1)]
+            for _ in range(D):
+                px.append(px[-1] * mpmath.mpc(complex(x)))
+                py.append(py[-1] * mpmath.mpc(complex(y)))
+            memo[x, y] = complex(sum((amn * px[m] * py[n] for m, n, amn in a), mpmath.mpc(0)))
+    return np.array([memo[x, y] for x, y in zip(xs, ys)], dtype=np.complex128)
+
+
+def eval_slack(c: np.ndarray, xs, ys) -> np.ndarray:
+    """4(D+1) eps sum |a_mn| |x|^m |y|^n per pair of points: the allowance of
+    a dot product of at most D+1 terms over power tables, nested twice."""
+    D = c.shape[0] - 1
+    k = np.arange(D + 1)
+    px = np.abs(np.asarray(xs))[:, None] ** k
+    py = np.abs(np.asarray(ys))[:, None] ** k
+    return 4 * (D + 1) * EPS * np.einsum("pm,mn,pn->p", px, np.abs(c), py)
+
+
+def crown_norm_slack(f: CrownSeries, zs, radius: float, norm: float) -> float:
+    """The allowance of a sampled crown norm over the points zs: per entry
+    f_lj, 4(D+1) eps sum_k |c_k| |z|^k at its largest sample, weighted by
+    r^(l+j), plus (2D+1) eps of the norm for the sum over entries."""
+    D = f.trunc_total
+    az = np.abs(np.asarray(zs, dtype=np.complex128))
+    slack = (2 * D + 1) * EPS * norm
+    for l, j, h in f.crown_decompose():
+        size = float(np.max(CoeffSeries(np.abs(h.coeffs)).eval(az).real))
+        slack += 4 * (D + 1) * EPS * size * radius ** (l + j)
+    return slack
+
+
 @pytest.mark.parametrize("beta", [0.05, 0.0])
 def test_crown_norm_matches_oracle(beta):
     mpmath.mp.dps = DIGITS
@@ -312,16 +353,12 @@ def test_crown_norm_matches_oracle(beta):
         zs = list(np_.omega + beta * np.exp(1j * th))
     entries = [(0, 0)] + [(l, 0) for l in range(1, D + 1)] + [(0, j) for j in range(1, D + 1)]
     ref = mpmath.mpf(0)
-    slack = 0.0
     for l, j in entries:
         ks = range((D - l - j) // 2 + 1)
         c = [mpmath.mpc(complex(f.coeffs[k + l, k + j])) for k in ks]
         sup = max(abs(sum(ck * mpmath.mpc(z) ** k for k, ck in enumerate(c))) for z in zs)
         ref += sup * mpmath.mpf(np_.radius) ** (l + j)
-        # Horner on k <= D/2 terms: 4(D+1) eps times sum_k |c_k| |z|^k
-        size = max(sum(abs(complex(ck)) * abs(z) ** k for k, ck in enumerate(c)) for z in zs)
-        slack += 4 * (D + 1) * EPS * size * np_.radius ** (l + j)
-    assert abs(got - float(ref)) <= slack + (2 * D + 1) * EPS * float(ref)
+    assert abs(got - float(ref)) <= crown_norm_slack(f, zs, np_.radius, float(ref))
 
 
 # ---------------------------------------------------------------------------
